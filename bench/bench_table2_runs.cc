@@ -7,7 +7,11 @@
 // scaled-down query batch, disk I/O charged by ColumnBM's deterministic
 // cost model (cold = empty buffer pool per query; hot = fully warmed pool).
 // Absolute times differ from the paper's hardware; the row ordering and the
-// effect of each optimization are the reproduced result.
+// effect of each optimization are the reproduced result. The paper's
+// two-pass row is served by the engine's one ranked evaluator (Block-Max
+// MaxScore, whose term demotion subsumes the two-pass split — DESIGN.md
+// §8.5), so BM25T differs from BM25 only in reading pool-served raw
+// columns instead of the in-memory compressed ones.
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -31,7 +35,6 @@ struct RunRow {
   double p20 = 0.0;
   double cold_ms = 0.0;
   double hot_ms = 0.0;
-  double second_pass_pct = 0.0;
   double cold_seeks = 0.0;     // simulated I/O requests per cold query
   double cold_kb = 0.0;        // simulated bytes fetched per cold query
 };
@@ -111,23 +114,19 @@ int Run() {
       bench::CheckOk(db.Search(q, type, opts, &result), "warm");
     }
     double hot_total = 0.0;
-    uint64_t second_pass = 0;
     for (const auto& q : efficiency_queries) {
       bench::CheckOk(db.Search(q, type, opts, &result), "search");
       hot_total += result.TotalSeconds();
-      second_pass += result.used_second_pass ? 1 : 0;
     }
     row.hot_ms =
         hot_total * 1e3 / static_cast<double>(efficiency_queries.size());
-    row.second_pass_pct = 100.0 * static_cast<double>(second_pass) /
-                          static_cast<double>(efficiency_queries.size());
     rows[type] = row;
     std::fprintf(stderr, "[bench] %-10s done\n", RunTypeName(type));
   }
 
   TablePrinter table({"Run name (+ added feature)", "p@20",
-                      "cold avg (ms)", "hot avg (ms)", "2nd pass (%)",
-                      "I/O req/q", "I/O KB/q"});
+                      "cold avg (ms)", "hot avg (ms)", "I/O req/q",
+                      "I/O KB/q"});
   const char* features[] = {"",
                             "",
                             "",
@@ -141,7 +140,6 @@ int Run() {
     table.AddRow({std::string(RunTypeName(type)) + features[fi++],
                   StrFormat("%.4f", r.p20), StrFormat("%.3f", r.cold_ms),
                   StrFormat("%.3f", r.hot_ms),
-                  StrFormat("%.1f", r.second_pass_pct),
                   StrFormat("%.1f", r.cold_seeks),
                   StrFormat("%.1f", r.cold_kb)});
   }
@@ -175,11 +173,15 @@ int Run() {
               "%.3f vs BM25 %.3f\n",
               rows[ir::RunType::kBoolAnd].p20, rows[ir::RunType::kBoolOr].p20,
               rows[ir::RunType::kBm25].p20);
-  std::printf("  two-pass cuts hot time:         %.3f -> %.3f ms (%.1fx)\n",
-              rows[ir::RunType::kBm25].hot_ms,
-              rows[ir::RunType::kBm25T].hot_ms,
-              rows[ir::RunType::kBm25].hot_ms /
-                  rows[ir::RunType::kBm25T].hot_ms);
+  // The paper's "two-pass cuts hot time" row: here every ranked run is the
+  // same evaluator, so this is the pool-served vs in-memory column cost.
+  const double bm25_hot = rows[ir::RunType::kBm25].hot_ms;
+  std::printf("  storage runs vs BM25 hot:       %.3f ms -> T %.2fx, TC "
+              "%.2fx, TCM %.2fx, TCMQ8 %.2fx\n",
+              bm25_hot, rows[ir::RunType::kBm25T].hot_ms / bm25_hot,
+              rows[ir::RunType::kBm25TC].hot_ms / bm25_hot,
+              rows[ir::RunType::kBm25TCM].hot_ms / bm25_hot,
+              rows[ir::RunType::kBm25TCMQ8].hot_ms / bm25_hot);
   std::printf("  compression cuts cold time:     %.3f -> %.3f ms\n",
               rows[ir::RunType::kBm25T].cold_ms,
               rows[ir::RunType::kBm25TC].cold_ms);
@@ -218,7 +220,9 @@ int Run() {
         "{\n"
         "  \"comment\": \"Table 2 runs: p@20 + cold/hot avg per query; "
         "cold ms include the deterministic simulated-disk charge (2 ms "
-        "seek, 200 MB/s), hot ms are wall-clock over a warm pool.\",\n"
+        "seek, 200 MB/s), hot ms are wall-clock over a warm pool; "
+        "hot_vs_bm25 is a run's hot ms over BM25's (reported, not "
+        "gated).\",\n"
         "  \"command\": \"X100IR_BENCH_JSON=BENCH_table2.json "
         "./build/bench_table2_runs\",\n"
         "  \"results\": [\n");
@@ -226,9 +230,9 @@ int Run() {
       const RunRow& r = rows[type];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"p20\": %.4f, \"cold_ms\": "
-                   "%.4f, \"hot_ms\": %.4f, \"second_pass_pct\": %.1f},\n",
+                   "%.4f, \"hot_ms\": %.4f, \"hot_vs_bm25\": %.4f},\n",
                    RunTypeName(type), r.p20, r.cold_ms, r.hot_ms,
-                   r.second_pass_pct);
+                   r.hot_ms / bm25_hot);
     }
     std::fprintf(
         f,

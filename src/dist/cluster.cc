@@ -14,6 +14,7 @@
 #include "common/shared_theta.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "ir/topk.h"
 
 namespace x100ir::dist {
 namespace {
@@ -41,18 +42,6 @@ Status SleepService(double seconds, const Deadline* deadline) {
     std::this_thread::sleep_for(std::chrono::duration<double>(
         std::min(left, kSleepSliceSeconds)));
   }
-}
-
-// The snapshot layer's rank order (score desc, docid asc) over merged
-// shard candidates — docids are globally unique across shards, so the
-// merge is deterministic regardless of shard completion order.
-struct RankedCandidate {
-  int32_t docid = 0;
-  float score = 0.0f;
-};
-bool RankedBefore(const RankedCandidate& a, const RankedCandidate& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.docid < b.docid;
 }
 
 }  // namespace
@@ -289,14 +278,15 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
   }
   out->partial = out->shards_failed > 0;
 
-  // Merge in global docid space. Ranked: top-k under the engine's total
-  // rank order over at most n*k candidates — never a re-score, so shard
-  // scores pass through bit-exact. Boolean: partitions ascend in docid
-  // space, so concatenation in node order is already docid-sorted and the
-  // first k match the monolithic engine's first-k cap.
+  // Merge in global docid space. Ranked: one exact TopK over at most n*k
+  // candidates (docids are globally unique across shards, so the result
+  // is independent of shard completion order) — never a re-score, so
+  // shard scores pass through bit-exact. Boolean: partitions ascend in
+  // docid space, so concatenation in node order is already docid-sorted
+  // and the first k match the monolithic engine's first-k cap.
   const bool ranked_run =
       type != ir::RunType::kBoolAnd && type != ir::RunType::kBoolOr;
-  std::vector<RankedCandidate> ranked;
+  ir::TopK ranked(opts.search.k);
   for (uint32_t i = 0; i < n; ++i) {
     if (!out->shard_status[i].ok()) continue;
     const ir::SearchResult& sr = shard_results[i];
@@ -304,22 +294,14 @@ Status Cluster::Search(const ir::Query& query, ir::RunType type,
     const int32_t base = nodes_[i]->base;
     if (ranked_run) {
       for (size_t r = 0; r < sr.docids.size(); ++r) {
-        ranked.push_back({base + sr.docids[r], sr.scores[r]});
+        ranked.Push(base + sr.docids[r], sr.scores[r]);
       }
     } else {
       for (int32_t d : sr.docids) out->merged.docids.push_back(base + d);
     }
   }
   if (ranked_run) {
-    const size_t k = std::min<size_t>(opts.search.k, ranked.size());
-    std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                      RankedBefore);
-    out->merged.docids.reserve(k);
-    out->merged.scores.reserve(k);
-    for (size_t r = 0; r < k; ++r) {
-      out->merged.docids.push_back(ranked[r].docid);
-      out->merged.scores.push_back(ranked[r].score);
-    }
+    ranked.FinishSorted(&out->merged.docids, &out->merged.scores);
   } else if (out->merged.docids.size() > opts.search.k) {
     out->merged.docids.resize(opts.search.k);
   }

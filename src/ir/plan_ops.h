@@ -1,5 +1,5 @@
-// Engine-internal plan operators shared by the ranked-run paths
-// (search_engine.cc) and the storage-era runs (storage_runs.cc):
+// Engine-internal plan operators of the score-all ranked plan and the
+// boolean union (search_engine.cc):
 //
 //   Bm25ScoreOperator — per-term map: gathers doclen for the vector's
 //     docids and runs the fused MapBm25 kernel (ir/bm25.h), emitting
@@ -9,10 +9,7 @@
 //     (the BM25 disjunction). Children decode lazily, so a union never
 //     materializes whole posting lists — constant memory per child.
 //
-// Moved out of search_engine.cc when storage/ landed: the Table 2 runs
-// execute the same plan shapes over cold columns (the paper's flexibility
-// claim), so the operators are shared rather than duplicated. Not part of
-// the public API.
+// Not part of the public API.
 #ifndef X100IR_IR_PLAN_OPS_H_
 #define X100IR_IR_PLAN_OPS_H_
 

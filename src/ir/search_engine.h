@@ -10,10 +10,11 @@
 //   kBm25    — Scan(docid,tf)ₜ        → Bm25Score(idfₜ, doclen)
 //                                     → MergeUnion(sum scores)    → TopK(k)
 //
-// The storage-era runs (DESIGN.md §8.5) execute the same ranked plan
-// shapes over *cold* columns served through the buffer pool, preceded by a
-// two-pass candidate phase; they require an on-disk index. What each adds:
-//   kBm25T     two-pass evaluation over the raw (uncompressed) columns
+// The storage-era runs (DESIGN.md §8.5) run the same ranked evaluator as
+// kBm25 — Block-Max MaxScore — over *cold* columns served through the
+// buffer pool; they require an on-disk index. Each run is a choice of
+// columns (ir/posting_source.h), not of algorithm:
+//   kBm25T     raw (uncompressed) docid + tf columns
 //   kBm25TC    + compressed columns (cold I/O shrinks by the §3.3 ratio)
 //   kBm25TCM   + materialized f32 score column (no tf decode, no doclen
 //                gather, no float kernel on the hot path)
@@ -40,8 +41,8 @@ enum class RunType : uint8_t {
   kBoolAnd = 0,
   kBoolOr = 1,
   kBm25 = 2,
-  kBm25T = 3,      // + two-pass candidate cutoff
-  kBm25TC = 4,     // + compressed cold I/O accounting
+  kBm25T = 3,      // + pool-served raw columns (the paper's two-pass row)
+  kBm25TC = 4,     // + compressed columns
   kBm25TCM = 5,    // + materialized score column
   kBm25TCMQ8 = 6,  // + 8-bit quantized scores
 };
@@ -64,6 +65,12 @@ inline const char* RunTypeName(RunType t) {
       return "BM25TCMQ8";
   }
   return "UNKNOWN";
+}
+
+// The four Table 2 runs that read cold columns through the buffer pool.
+inline bool IsStorageRun(RunType t) {
+  return t == RunType::kBm25T || t == RunType::kBm25TC ||
+         t == RunType::kBm25TCM || t == RunType::kBm25TCMQ8;
 }
 
 inline std::array<RunType, 7> AllRunTypes() {
@@ -96,7 +103,7 @@ struct SearchOptions {
   bool streaming_and = true;
   // BM25: threshold-propagated MaxScore evaluation (per-term upper bounds,
   // essential/non-essential partition, probe completion), vs score-all
-  // union.
+  // union. The storage runs always use MaxScore.
   bool maxscore_bm25 = true;
   // Block-Max refinement of MaxScore (DESIGN.md §12): before decoding a
   // 128-posting window of an essential term, test the window's stored
@@ -110,13 +117,6 @@ struct SearchOptions {
   // contract; off = the composed two-step path, kept as the agreement
   // oracle.
   bool fused_score = true;
-
-  // Storage runs: document-frequency cutoff separating pass 1's short
-  // ("selective") lists from the long lists that are only probed. 0 picks
-  // the default (num_docs / 16); tests pin both pass shapes by forcing it
-  // high (everything selective) or to 1 (everything long → always a full
-  // second pass).
-  uint32_t twopass_df_cutoff = 0;
 
   // Borrowed per-query deadline/cancellation token (DESIGN.md §9.3), or
   // nullptr for no limit. The engine checks it at vector-batch granularity
@@ -139,7 +139,7 @@ struct SearchOptions {
   const CollectionStats* global_stats = nullptr;
   // Tombstone bitmap over *this index's local docids* (bit d = doc d
   // deleted). Filtered in every path: boolean collect, union TopK drain,
-  // MaxScore candidates, and both storage-run passes. Deleted docs are
+  // MaxScore candidates (every ranked run). Deleted docs are
   // excluded from results and from num_matches. (TombstoneTest lives in
   // collection_stats.h.)
   const uint64_t* tombstones = nullptr;
@@ -161,7 +161,7 @@ struct SearchOptions {
 
 // Effective scoring statistics: the snapshot's live collection stats when
 // the call is a segmented read, the index's own build-time values
-// otherwise. Every scoring path (union, MaxScore, both storage passes)
+// otherwise. Every live-scoring path (union, MaxScore over tf columns)
 // resolves idf and avg_doc_len through these, so a segment always scores
 // under the global live model.
 inline float EffectiveIdf(const SearchOptions& opts, const InvertedIndex& idx,
@@ -187,11 +187,11 @@ struct SearchResult {
   // documents considered. Under MaxScore pruning this counts documents
   // reached through the essential lists — documents provably unable to
   // enter the top k are never candidates, so the count can be lower than
-  // the score-all union's. The two-pass storage runs count pass-1
-  // candidates, or the full union when the second pass ran.
+  // the score-all union's.
   uint64_t num_matches = 0;
-  // Two-pass storage runs: true when pass 1's threshold could not rule out
-  // documents living only in the long lists and the full evaluation ran.
+  // Always false: the storage runs no longer have a second pass (MaxScore's
+  // term demotion subsumes the two-pass split, DESIGN.md §8.5). Kept
+  // because the end-to-end benchmark reads it (ir.second_pass_ratio).
   bool used_second_pass = false;
   // Wall-clock of the run (real decode/score work).
   double seconds = 0.0;
@@ -250,14 +250,14 @@ class SearchEngine {
                     const SearchOptions& opts, SearchResult* result) const;
   Status SearchBm25(const std::vector<uint32_t>& terms,
                     const SearchOptions& opts, SearchResult* result) const;
-  Status SearchBm25MaxScore(const std::vector<uint32_t>& terms,
+  // The ranked evaluator — Block-Max MaxScore — over any window-granular
+  // posting source (posting_source.h): the BM25 run over the in-memory
+  // columns and the four storage runs over pool-served ones.
+  template <typename Source>
+  Status SearchBm25MaxScore(const typename Source::Env& env,
+                            const std::vector<uint32_t>& terms,
                             const SearchOptions& opts,
                             SearchResult* result) const;
-  // The storage-era two-pass runs (storage_runs.cc): BM25T/TC/TCM/TCMQ8
-  // over pool-served cold columns. Requires index_->has_storage().
-  Status SearchColdRun(RunType type, const std::vector<uint32_t>& terms,
-                       const SearchOptions& opts,
-                       SearchResult* result) const;
 
   const InvertedIndex* index_ = nullptr;
 };

@@ -579,7 +579,7 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
       // way, re-writing the manifest. A failure leaves the in-memory
       // delete applied and reports the error — the reopen then
       // resurrects, it never loses.
-      persisted = WriteManifestLocked();
+      persisted = WriteManifestLocked(next_docid_);
     }
     PublishLocked();
   }
@@ -589,7 +589,8 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
   return OkStatus();
 }
 
-Status SnapshotManager::WriteManifestLocked(bool* renamed) {
+Status SnapshotManager::WriteManifestLocked(int32_t next_docid,
+                                            bool* renamed) {
   if (renamed != nullptr) *renamed = false;
   if (storage::CrashedNow()) return IOError("simulated crash");
   const std::string tmp = dir_ + "/" + kManifestTmpFile;
@@ -599,7 +600,7 @@ Status SnapshotManager::WriteManifestLocked(bool* renamed) {
   hdr.epoch = epoch_;
   hdr.num_segments = static_cast<uint32_t>(segments_.size());
   hdr.next_seg_id = next_seg_id_;
-  hdr.next_docid = next_docid_;
+  hdr.next_docid = next_docid;
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return IOError("cannot create " + tmp);
   bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
@@ -804,8 +805,15 @@ Status SnapshotManager::CommitMergeLocked(const MergeInput& input,
   sealed_tombs_.clear();
   ++epoch_;
   if (!dir_.empty()) {
+    // With a WAL, the manifest's allocator restarts at the merge cutoff —
+    // the first docid the merged segments do not hold — so replay
+    // re-applies every add acknowledged while the merge ran (those sit in
+    // the post-rotation log, above the cutoff). Without a WAL such adds
+    // are volatile anyway, and recording next_docid_ keeps their docids
+    // from ever being reused.
     bool renamed = false;
-    Status written = WriteManifestLocked(&renamed);
+    Status written = WriteManifestLocked(
+        wal_ != nullptr ? merge_cutoff_ : next_docid_, &renamed);
     if (!written.ok() && !renamed) {
       // The swap never happened: restore the old segment set so the
       // in-memory state keeps matching the on-disk manifest. The sealed

@@ -175,10 +175,11 @@ class SnapshotManager {
   std::shared_ptr<const CollectionStats> FreezeStatsLocked() const;
   // Publishes a new Snapshot of the current state at epoch_.
   void PublishLocked();
-  // Serializes the committed segment set to MANIFEST via tmp + rename.
+  // Serializes the committed segment set to MANIFEST via tmp + rename,
+  // recording `next_docid` as the docid allocator's restart point.
   // *renamed (may be null) reports whether the rename — the commit point —
   // happened, so a caller can distinguish pre- from post-commit failure.
-  Status WriteManifestLocked(bool* renamed = nullptr);
+  Status WriteManifestLocked(int32_t next_docid, bool* renamed = nullptr);
   // Applies one normalized document to the active delta (stats + epoch, no
   // WAL, no publish) — the shared tail of AddDocument and WAL replay.
   Status ApplyAddLocked(std::vector<DocTerm> doc, int32_t len, int32_t* docid);

@@ -5,32 +5,20 @@
 // scalar, with the same Bm25One kernel and the same ascending-term
 // accumulation order the vectorized union plan uses. Docid spaces are
 // disjoint, so the cross-structure merge is a concatenation (boolean runs)
-// or a top-k selection over at most (#structures + 1) * k candidates
-// (ranked runs) — never a re-score.
+// or one exact TopK over every structure's candidates (ranked runs) —
+// never a re-score.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "ir/bm25.h"
+#include "ir/normalize.h"
 #include "ir/snapshot.h"
+#include "ir/topk.h"
 
 namespace x100ir::ir {
 namespace {
-
-struct RankedCandidate {
-  int32_t docid = 0;
-  float score = 0.0f;
-};
-
-// The TopKOperator's rank order: score descending, docid ascending on
-// exact float ties. Docids are globally unique, so this is a total order
-// and the merge result is independent of candidate arrival order.
-bool RankedBefore(const RankedCandidate& a, const RankedCandidate& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.docid < b.docid;
-}
 
 // Exact scalar evaluation of one delta buffer. Ranked runs accumulate
 // per-document scores term-by-term in ascending term order — the same
@@ -41,7 +29,7 @@ bool RankedBefore(const RankedCandidate& a, const RankedCandidate& b) {
 void EvalDelta(const Snapshot::DeltaRead& dr,
                const std::vector<uint32_t>& terms, RunType type,
                const SearchOptions& opts, const CollectionStats& stats,
-               std::vector<RankedCandidate>* ranked, uint64_t* num_matches,
+               TopK* ranked, uint64_t* num_matches,
                std::vector<int32_t>* bool_matches) {
   const uint64_t* tombs =
       dr.tombstones != nullptr ? dr.tombstones->data() : nullptr;
@@ -76,7 +64,7 @@ void EvalDelta(const Snapshot::DeltaRead& dr,
     ++*num_matches;
     const int32_t global = dr.delta->base_docid() + static_cast<int32_t>(local);
     if (ranked_run) {
-      ranked->push_back({global, acc[local]});
+      ranked->Push(global, acc[local]);
     } else {
       bool_matches->push_back(global);
     }
@@ -95,16 +83,18 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
   *result = SearchResult();
   result->epoch = snap.epoch;
 
-  // Mirror the monolithic engine's up-front validation (same messages,
-  // same order) so the segmented path rejects exactly what it would.
-  if (user_opts.k == 0) {
-    return InvalidArgument("k must be > 0 (no run returns zero results)");
-  }
-  const bool storage_run = type == RunType::kBm25T ||
-                           type == RunType::kBm25TC ||
-                           type == RunType::kBm25TCM ||
-                           type == RunType::kBm25TCMQ8;
-  if (storage_run) {
+  // The monolithic engine's up-front validation (same normalizer, same
+  // messages), so the segmented path rejects exactly what it would.
+  // "Unknown" means zero LIVE documents hold the term — the rebuilt
+  // monolithic oracle would not have it at all. (A term whose only
+  // occurrences are tombstoned counts as unknown too.)
+  std::vector<uint32_t> terms;
+  bool any_unknown = false;
+  X100IR_RETURN_IF_ERROR(NormalizeQueryTerms(
+      query, user_opts.k, static_cast<uint32_t>(snap.stats->df.size()),
+      [&snap](uint32_t t) { return snap.stats->df[t]; }, &terms,
+      &any_unknown));
+  if (IsStorageRun(type)) {
     for (const Snapshot::SegmentRead& sr : snap.segments) {
       if (!sr.seg->index().has_storage()) {
         return FailedPrecondition(
@@ -114,26 +104,6 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
       }
     }
   }
-  std::vector<uint32_t> terms = query.terms;
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  if (terms.empty()) return InvalidArgument("query has no terms");
-  for (uint32_t t : terms) {
-    if (t >= snap.stats->df.size()) {
-      return InvalidArgument(StrFormat("query term %u outside vocabulary", t));
-    }
-  }
-  // "Unknown" means zero LIVE documents hold the term — the rebuilt
-  // monolithic oracle would not have it at all. (A term whose only
-  // occurrences are tombstoned counts as unknown too.)
-  const size_t with_postings_end =
-      std::stable_partition(terms.begin(), terms.end(),
-                            [&snap](uint32_t t) {
-                              return snap.stats->df[t] > 0;
-                            }) -
-      terms.begin();
-  const bool any_unknown = with_postings_end != terms.size();
-  terms.resize(with_postings_end);
   if (terms.empty() || (type == RunType::kBoolAnd && any_unknown)) {
     result->seconds = timer.ElapsedSeconds();
     return OkStatus();
@@ -147,7 +117,9 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
   sub.terms = terms;
   sub.topic = query.topic;
 
-  std::vector<RankedCandidate> ranked;
+  // Exact ranked merge: docids are globally unique, so the top k under
+  // TopK's total order is independent of candidate arrival order.
+  TopK ranked(user_opts.k);
   std::vector<int32_t> bool_matches;  // global docid order by construction
 
   for (const Snapshot::SegmentRead& sr : snap.segments) {
@@ -164,7 +136,7 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
       for (size_t i = 0; i < seg_result.docids.size(); ++i) {
         const int32_t g = identity ? seg_result.docids[i]
                                    : sr.seg->GlobalOf(seg_result.docids[i]);
-        ranked.push_back({g, seg_result.scores[i]});
+        ranked.Push(g, seg_result.scores[i]);
       }
     } else {
       for (int32_t d : seg_result.docids) {
@@ -182,15 +154,7 @@ Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
   }
 
   if (ranked_run) {
-    const size_t k = std::min<size_t>(user_opts.k, ranked.size());
-    std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                      RankedBefore);
-    result->docids.reserve(k);
-    result->scores.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      result->docids.push_back(ranked[i].docid);
-      result->scores.push_back(ranked[i].score);
-    }
+    ranked.FinishSorted(&result->docids, &result->scores);
   } else {
     // Segments ascend in global docid space and every delta base exceeds
     // every committed global, so the concatenation is already docid-sorted;

@@ -1,7 +1,7 @@
 // Bounded LRU cache of full query responses, keyed on the complete result
 // surface of a request: run type, normalized term set, k, and every
 // SearchOptions knob that can change what Search returns (BM25 parameters,
-// path selection, two-pass cutoff). Vector size and rng seed are *not* in
+// path selection). Vector size and rng seed are *not* in
 // the key — results are bit-identical across them by the engine's
 // determinism contract, which is exactly what makes caching sound.
 //
@@ -47,7 +47,7 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
   std::string key;
-  key.reserve(24 + terms.size() * sizeof(uint32_t));
+  key.reserve(20 + terms.size() * sizeof(uint32_t));
   auto append = [&key](const void* p, size_t n) {
     key.append(static_cast<const char*>(p), n);
   };
@@ -59,7 +59,6 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
   const uint8_t flags = (opts.streaming_and ? 1 : 0) |
                         (opts.maxscore_bm25 ? 2 : 0);
   append(&flags, 1);
-  append(&opts.twopass_df_cutoff, sizeof(opts.twopass_df_cutoff));
   append(terms.data(), terms.size() * sizeof(uint32_t));
   return key;
 }

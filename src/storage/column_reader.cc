@@ -237,13 +237,16 @@ Status ColumnReader::ReadF32(uint64_t pos, uint32_t len, float* dst) {
   if (encoding_ != ColumnFileHeader::kQuantU8) {
     return Internal("ReadF32 on a non-float column");
   }
-  // Local staging (not a member buffer): concurrent ReadF32 calls on the
-  // shared reader must not stomp each other's bytes.
-  std::vector<uint8_t> bytes(len);
-  X100IR_RETURN_IF_ERROR(
-      FetchBytes(payload_offset_ + pos, len, bytes.data()));
-  for (uint32_t i = 0; i < len; ++i) {
-    dst[i] = q8_bias_ + q8_scale_ * static_cast<float>(bytes[i]);
+  // Stack staging, chunk by chunk (not a member buffer): concurrent
+  // ReadF32 calls on the shared reader must not stomp each other's bytes.
+  uint8_t bytes[1024];
+  for (uint32_t done = 0; done < len;) {
+    const uint32_t n = std::min<uint32_t>(len - done, sizeof(bytes));
+    X100IR_RETURN_IF_ERROR(FetchBytes(payload_offset_ + pos + done, n, bytes));
+    for (uint32_t i = 0; i < n; ++i) {
+      dst[done + i] = q8_bias_ + q8_scale_ * static_cast<float>(bytes[i]);
+    }
+    done += n;
   }
   return OkStatus();
 }
@@ -268,22 +271,39 @@ Status SortedColumnCursor::Init(ColumnReader* col, uint64_t begin,
         "sorted cursor needs window value bases (PFOR-DELTA)");
   }
   win_ = kNoWindow;
-  windows_skipped_ = 0;
+  stats_ = compress::SkipStats();
   return OkStatus();
 }
 
 Status SortedColumnCursor::EnsureWindow() {
+  if (Loaded(pos_)) return OkStatus();
   const uint32_t w = static_cast<uint32_t>(pos_ / kStride);
-  if (w == win_) return OkStatus();
   win_base_ = static_cast<uint64_t>(w) * kStride;
   if (compressed_) {
     X100IR_RETURN_IF_ERROR(col_->DecodeWindow(w, win_vals_, &win_len_));
   } else {
-    win_len_ = static_cast<uint32_t>(
-        std::min<uint64_t>(kStride, col_->value_count() - win_base_));
-    X100IR_RETURN_IF_ERROR(col_->Read(win_base_, win_len_, win_vals_));
+    // Raw: fetch the in-range slice of kRawAhead windows in one pool
+    // access. Slots below begin_ stay unfilled and are never read
+    // (positions never drop below it).
+    const uint64_t lo = std::max(begin_, win_base_);
+    const uint64_t hi =
+        std::min<uint64_t>(end_, win_base_ + uint64_t{kStride} * kRawAhead);
+    X100IR_RETURN_IF_ERROR(col_->Read(lo, static_cast<uint32_t>(hi - lo),
+                                      win_vals_ + (lo - win_base_)));
+    win_len_ = static_cast<uint32_t>(hi - win_base_);
   }
   win_ = w;
+  ++stats_.windows_decoded;
+  return OkStatus();
+}
+
+Status SortedColumnCursor::CurrentRun(const int32_t** vals, uint32_t* n) {
+  X100IR_RETURN_IF_ERROR(EnsureWindow());
+  const uint64_t window_end = (pos_ / kStride + 1) * kStride;
+  const uint64_t cap =
+      std::min({end_, win_base_ + win_len_, window_end});
+  *vals = win_vals_ + (pos_ - win_base_);
+  *n = static_cast<uint32_t>(cap - pos_);
   return OkStatus();
 }
 
@@ -294,7 +314,7 @@ Status SortedColumnCursor::Value(int32_t* out) {
 }
 
 Status SortedColumnCursor::ValueAt(uint64_t p, int32_t* out) {
-  if (win_ != kNoWindow && p >= win_base_ && p < win_base_ + win_len_) {
+  if (Loaded(p)) {
     *out = win_vals_[p - win_base_];
     return OkStatus();
   }
@@ -338,7 +358,7 @@ Status SortedColumnCursor::SkipToCompressed(int32_t target, bool* found) {
       cand = w_last;
     }
     if (cand > w_from) {
-      windows_skipped_ += cand - w_from - (win_ == w_from ? 1 : 0);
+      stats_.windows_skipped += cand - w_from - (win_ == w_from ? 1 : 0);
       pos_ = static_cast<uint64_t>(cand) * kStride;
     }
     X100IR_RETURN_IF_ERROR(EnsureWindow());

@@ -37,6 +37,7 @@
 #ifndef X100IR_STORAGE_COLUMN_READER_H_
 #define X100IR_STORAGE_COLUMN_READER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -44,6 +45,7 @@
 
 #include "common/status.h"
 #include "compress/codec.h"
+#include "compress/skip_cursor.h"
 #include "storage/buffer_manager.h"
 #include "storage/file.h"
 
@@ -128,11 +130,16 @@ class ColumnReader {
 //     bases, fetches + decodes only the one candidate window;
 //   raw        — no window metadata exists, so SkipTo gallops with point
 //     reads (each a page-granular pool access) and settles by binary
-//     search; the decoded-window cache still serves dense forward walks.
+//     search; the window cache (kRawAhead windows' in-range values per
+//     pool access) still serves dense forward walks.
 //
-// All accessors return Status: any access may fault a page in, and a pool
-// smaller than the pinned working set must surface as an error, not a
-// wrong result.
+// Like its in-memory twin it also offers window-granular bulk access for
+// Block-Max MaxScore (CurrentWindowIndex / SkipCurrentWindowBlockMax /
+// CurrentRun), with the same three-way SkipStats partition.
+//
+// All accessors that may touch data return Status: any access may fault a
+// page in, and a pool smaller than the pinned working set must surface as
+// an error, not a wrong result.
 class SortedColumnCursor {
  public:
   // The reader must outlive the cursor; [begin, end) values nondecreasing.
@@ -150,12 +157,46 @@ class SortedColumnCursor {
   // reached the end.
   Status SkipTo(int32_t target, bool* found);
 
-  uint64_t windows_skipped() const { return windows_skipped_; }
+  // Index of the column window containing the cursor; requires !AtEnd().
+  uint32_t CurrentWindowIndex() const {
+    return static_cast<uint32_t>(pos_ / kStride);
+  }
+
+  // Jumps past the current window without fetching or decoding it (the
+  // Block-Max reject). Counted as blockmax-skipped unless the window is
+  // already loaded.
+  void SkipCurrentWindowBlockMax() {
+    const uint32_t w = CurrentWindowIndex();
+    if (!Loaded(pos_)) ++stats_.windows_blockmax_skipped;
+    pos_ = std::min<uint64_t>(end_, static_cast<uint64_t>(w + 1) * kStride);
+  }
+
+  // Loads the current window and returns its in-range tail: *vals points
+  // at the value at position(), *n values up to the window's (or the
+  // range's) end. Valid until the cursor loads another window. The
+  // caller moves on with AdvanceTo(position() + *n).
+  Status CurrentRun(const int32_t** vals, uint32_t* n);
+
+  // Forward-only positional advance, clamped to the range end.
+  void AdvanceTo(uint64_t pos) { pos_ = std::max(pos_, std::min(pos, end_)); }
+
+  // windows_decoded counts window loads (a decode, or one raw fetch of up
+  // to kRawAhead windows); windows_skipped SkipTo jumps;
+  // windows_blockmax_skipped SkipCurrentWindowBlockMax rejects.
+  const compress::SkipStats& stats() const { return stats_; }
+  uint64_t windows_skipped() const { return stats_.windows_skipped; }
 
  private:
   static constexpr uint32_t kStride = compress::kEntryPointStride;
+  // Raw columns carry no per-window structure, so a load fetches this many
+  // windows at once: one pool access instead of one per window.
+  static constexpr uint32_t kRawAhead = 8;
   static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
 
+  // Whether position p's value sits in the loaded window(s).
+  bool Loaded(uint64_t p) const {
+    return win_ != kNoWindow && p >= win_base_ && p < win_base_ + win_len_;
+  }
   Status EnsureWindow();
   Status ValueAt(uint64_t p, int32_t* out);
   Status SkipToCompressed(int32_t target, bool* found);
@@ -164,11 +205,11 @@ class SortedColumnCursor {
   ColumnReader* col_ = nullptr;
   uint64_t begin_ = 0, end_ = 0, pos_ = 0;
   bool compressed_ = false;
-  uint32_t win_ = kNoWindow;
-  uint64_t win_base_ = 0;
-  uint32_t win_len_ = 0;
-  int32_t win_vals_[kStride];
-  uint64_t windows_skipped_ = 0;
+  uint32_t win_ = kNoWindow;  // first loaded window
+  uint64_t win_base_ = 0;      // position of win_vals_[0]
+  uint32_t win_len_ = 0;       // loaded: [win_base_, win_base_ + win_len_)
+  int32_t win_vals_[kStride * kRawAhead];
+  compress::SkipStats stats_;
 };
 
 }  // namespace x100ir::storage

@@ -351,6 +351,29 @@ TEST(KillPointBattery, PostMergeAdd) {
   RunKillPointBattery(sc);
 }
 
+TEST(KillPointBattery, AddDuringBackgroundMerge) {
+  // An add acknowledged while the merge runs lands above the merge cutoff
+  // (the delta StartMerge opened), in the post-rotation log. The merge's
+  // manifest must not claim that docid as already applied, or replay skips
+  // the add and the reopen loses an acknowledged write. The add is applied
+  // right after StartMerge returns, long before the background thread has
+  // written the merged segment's column files.
+  Scenario sc;
+  sc.name = "add_during_merge";
+  sc.setup = [](core::Database* db) {
+    for (uint64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(db->AddDocument(DetDoc(i), nullptr).ok());
+    }
+  };
+  sc.op = [](core::Database* db) {
+    X100IR_RETURN_IF_ERROR(db->StartMerge());
+    const Status added = db->AddDocument(DetDoc(30), nullptr);
+    const Status merged = db->WaitMerge();
+    return added.ok() ? merged : added;
+  };
+  RunKillPointBattery(sc);
+}
+
 // ---------------------------------------------------------------------------
 // Torn-tail fuzzer: truncations and bit flips over the log.
 // ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@
 #include "ir/search_engine.h"
 #include "storage/buffer_manager.h"
 #include "storage/column_reader.h"
-#include "storage/column_source.h"
 #include "storage/file.h"
 
 namespace x100ir::storage {
@@ -586,6 +585,42 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
             oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
       }
     }
+    // The window-granular walk the ranked evaluator drives: every third
+    // window rejected without a load, the others read as runs.
+    for (ColumnReader* col : {&compressed, &raw}) {
+      compress::SortedRangeCursor oracle;
+      ASSERT_TRUE(oracle.Init(&resident, begin, end).ok());
+      SortedColumnCursor walk;
+      ASSERT_TRUE(walk.Init(col, begin, end).ok());
+      while (!oracle.AtEnd()) {
+        ASSERT_FALSE(walk.AtEnd());
+        ASSERT_EQ(walk.CurrentWindowIndex(), oracle.CurrentWindowIndex());
+        if (oracle.CurrentWindowIndex() % 3 == 0) {
+          oracle.SkipCurrentWindowBlockMax();
+          walk.SkipCurrentWindowBlockMax();
+        } else {
+          const compress::SortedRangeCursor::RunView rv =
+              oracle.CurrentRunView();
+          const int32_t* vals = nullptr;
+          uint32_t n = 0;
+          ASSERT_TRUE(walk.CurrentRun(&vals, &n).ok());
+          ASSERT_EQ(n, rv.hi - rv.lo);
+          for (uint32_t i = 0; i < n; ++i) {
+            ASSERT_EQ(vals[i], rv.vals[rv.lo + i]) << "slot " << i;
+          }
+          oracle.AdvanceTo(rv.win_base + rv.hi);
+          walk.AdvanceTo(walk.position() + n);
+        }
+        ASSERT_EQ(walk.position(), oracle.position());
+      }
+      EXPECT_TRUE(walk.AtEnd());
+      if (col == &compressed) {
+        EXPECT_EQ(walk.stats().windows_decoded,
+                  oracle.stats().windows_decoded);
+        EXPECT_EQ(walk.stats().windows_blockmax_skipped,
+                  oracle.stats().windows_blockmax_skipped);
+      }
+    }
   }
 }
 
@@ -617,25 +652,6 @@ TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
   EXPECT_EQ(cursor.position(), 128u * 35);
   EXPECT_GE(cursor.windows_skipped(), 30u);
   EXPECT_LE(col.windows_decoded(), 3u);
-}
-
-TEST(ColumnSliceSource, LatchesPoolFailureAndZeroFills) {
-  std::vector<int32_t> values(5000, 9);
-  const std::string path = WriteFile(
-      "src_rawi32", ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
-                                    values.size(), values.data(),
-                                    values.size() * 4));
-  SimulatedDisk disk;
-  // Pool smaller than one page: every fetch is ResourceExhausted.
-  BufferManager bm(1024, &disk, 4096);
-  ColumnReader col;
-  ASSERT_TRUE(col.Open(path, 1, &bm).ok());
-  ColumnSliceSource src(&col, 0, values.size(), vec::TypeId::kI32);
-  ASSERT_TRUE(src.status().ok());
-  std::vector<int32_t> out(64, -1);
-  src.Read(0, 64, out.data());
-  EXPECT_EQ(src.status().code(), StatusCode::kResourceExhausted);
-  for (int32_t x : out) EXPECT_EQ(x, 0);  // zero-filled, never garbage
 }
 
 // ---------------------------------------------------------------------------
@@ -818,12 +834,16 @@ TEST(RunTypes, AllSevenExecuteAndRankedRunsMatchOracle) {
   }
 }
 
-// Both two-pass shapes — pass 1 provably exact, and the forced full
-// evaluation — agree on every ranked storage run.
-TEST(RunTypes, ForcedPassShapesAgree) {
+// Every storage run — the Block-Max MaxScore evaluator over pool-served
+// columns — ranks like the exhaustive in-memory union BM25 (the score-all
+// plan, no pruning at all). Rank-wise score agreement is robust to ties:
+// perturbing every document's score by at most e moves each order
+// statistic by at most e. TCMQ8 scores carry up to half a quantization
+// step of error per query term.
+TEST(RunTypes, StorageRunsMatchExhaustiveUnionBm25) {
   ir::Corpus corpus;
   ASSERT_TRUE(ir::Corpus::Generate(SmallGeneratedOptions(), &corpus).ok());
-  const std::string dir = FreshDir("passes");
+  const std::string dir = FreshDir("exhaustive");
   ir::InvertedIndex index;
   ir::BuildStats bstats;
   ASSERT_TRUE(index.BuildFromCorpus(corpus, dir, &bstats).ok());
@@ -835,22 +855,26 @@ TEST(RunTypes, ForcedPassShapesAgree) {
   const ir::RunType types[] = {ir::RunType::kBm25T, ir::RunType::kBm25TC,
                                ir::RunType::kBm25TCM,
                                ir::RunType::kBm25TCMQ8};
+  ir::SearchOptions exhaustive;
+  exhaustive.maxscore_bm25 = false;
+  const float q8_step = index.storage()->score_q8.q8_scale();
   for (const auto& q : gen.EfficiencyQueries()) {
+    ir::SearchResult want;
+    ASSERT_TRUE(engine.Search(q, ir::RunType::kBm25, exhaustive, &want).ok());
+    ASSERT_FALSE(want.docids.empty());
     for (ir::RunType type : types) {
-      ir::SearchOptions all_short, all_long;
-      all_short.twopass_df_cutoff = UINT32_MAX;  // everything selective
-      all_long.twopass_df_cutoff = 1;            // everything probed/full
-      ir::SearchResult a, b;
-      ASSERT_TRUE(engine.Search(q, type, all_short, &a).ok());
-      ASSERT_TRUE(engine.Search(q, type, all_long, &b).ok());
-      // All-selective pass 1 is exact (no long lists to bound). The
-      // all-long shape runs the full evaluation; both must return the
-      // same ranking.
-      EXPECT_FALSE(a.used_second_pass);
-      ASSERT_EQ(a.docids.size(), b.docids.size()) << ir::RunTypeName(type);
-      for (size_t i = 0; i < a.docids.size(); ++i) {
-        ASSERT_NEAR(a.scores[i], b.scores[i], 1e-4)
-            << ir::RunTypeName(type);
+      ir::SearchResult got;
+      ASSERT_TRUE(engine.Search(q, type, ir::SearchOptions(), &got).ok());
+      EXPECT_FALSE(got.used_second_pass);
+      const float tol =
+          type == ir::RunType::kBm25TCMQ8
+              ? static_cast<float>(q.terms.size()) * q8_step
+              : 1e-4f;
+      ASSERT_EQ(got.docids.size(), want.docids.size())
+          << ir::RunTypeName(type);
+      for (size_t i = 0; i < got.docids.size(); ++i) {
+        ASSERT_NEAR(got.scores[i], want.scores[i], tol)
+            << ir::RunTypeName(type) << " rank " << i;
       }
     }
   }
