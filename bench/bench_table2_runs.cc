@@ -37,6 +37,11 @@ struct RunRow {
   double hot_ms = 0.0;
   double cold_seeks = 0.0;     // simulated I/O requests per cold query
   double cold_kb = 0.0;        // simulated bytes fetched per cold query
+  // Docid windows per (hot) query, by what the skip cursor did with them:
+  // loaded, jumped by a value skip, rejected by a Block-Max bound.
+  double win_decoded = 0.0;
+  double win_skipped = 0.0;
+  double win_blockmax = 0.0;
 };
 
 uint64_t FileBytes(const std::string& path) {
@@ -117,16 +122,24 @@ int Run() {
     for (const auto& q : efficiency_queries) {
       bench::CheckOk(db.Search(q, type, opts, &result), "search");
       hot_total += result.TotalSeconds();
+      row.win_decoded += static_cast<double>(result.stats.windows_decoded);
+      row.win_skipped += static_cast<double>(result.stats.windows_skipped);
+      row.win_blockmax +=
+          static_cast<double>(result.stats.windows_blockmax_skipped);
     }
-    row.hot_ms =
-        hot_total * 1e3 / static_cast<double>(efficiency_queries.size());
+    const double hot_n = static_cast<double>(efficiency_queries.size());
+    row.hot_ms = hot_total * 1e3 / hot_n;
+    row.win_decoded /= hot_n;
+    row.win_skipped /= hot_n;
+    row.win_blockmax /= hot_n;
     rows[type] = row;
     std::fprintf(stderr, "[bench] %-10s done\n", RunTypeName(type));
   }
 
   TablePrinter table({"Run name (+ added feature)", "p@20",
                       "cold avg (ms)", "hot avg (ms)", "I/O req/q",
-                      "I/O KB/q"});
+                      "I/O KB/q", "win dec/q", "win skip/q",
+                      "win bmax/q"});
   const char* features[] = {"",
                             "",
                             "",
@@ -141,7 +154,10 @@ int Run() {
                   StrFormat("%.4f", r.p20), StrFormat("%.3f", r.cold_ms),
                   StrFormat("%.3f", r.hot_ms),
                   StrFormat("%.1f", r.cold_seeks),
-                  StrFormat("%.1f", r.cold_kb)});
+                  StrFormat("%.1f", r.cold_kb),
+                  StrFormat("%.1f", r.win_decoded),
+                  StrFormat("%.1f", r.win_skipped),
+                  StrFormat("%.1f", r.win_blockmax)});
   }
   table.Print();
 
@@ -222,7 +238,9 @@ int Run() {
         "cold ms include the deterministic simulated-disk charge (2 ms "
         "seek, 200 MB/s), hot ms are wall-clock over a warm pool; "
         "hot_vs_bm25 is a run's hot ms over BM25's (reported, not "
-        "gated).\",\n"
+        "gated); windows_*_per_q count a hot query's 128-posting docid "
+        "windows the skip cursor loaded, value-skipped and "
+        "Block-Max-rejected.\",\n"
         "  \"command\": \"X100IR_BENCH_JSON=BENCH_table2.json "
         "./build/bench_table2_runs\",\n"
         "  \"results\": [\n");
@@ -230,9 +248,13 @@ int Run() {
       const RunRow& r = rows[type];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"p20\": %.4f, \"cold_ms\": "
-                   "%.4f, \"hot_ms\": %.4f, \"hot_vs_bm25\": %.4f},\n",
+                   "%.4f, \"hot_ms\": %.4f, \"hot_vs_bm25\": %.4f, "
+                   "\"windows_decoded_per_q\": %.2f, "
+                   "\"windows_skipped_per_q\": %.2f, "
+                   "\"windows_blockmax_per_q\": %.2f},\n",
                    RunTypeName(type), r.p20, r.cold_ms, r.hot_ms,
-                   r.hot_ms / bm25_hot);
+                   r.hot_ms / bm25_hot, r.win_decoded, r.win_skipped,
+                   r.win_blockmax);
     }
     std::fprintf(
         f,

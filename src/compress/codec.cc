@@ -60,13 +60,16 @@ inline void WriteCode(uint8_t* dst, uint64_t index, int b, uint32_t code) {
 inline uint32_t Align8(uint32_t x) { return (x + 7u) & ~7u; }
 
 // LOOP3: in-place prefix sum seeded from `acc`; returns the running value
-// so DecodeAll can carry it across batches.
+// so DecodeAll can carry it across batches. Sums wrap (unsigned, like
+// LOOP1's base add) instead of overflowing: a corrupt block read off disk
+// may decode garbage, never undefined behaviour.
 inline int32_t PrefixSumInPlace(int32_t* dst, uint32_t n, int32_t acc) {
+  uint32_t sum = static_cast<uint32_t>(acc);
   for (uint32_t i = 0; i < n; ++i) {
-    acc += dst[i];
-    dst[i] = acc;
+    sum += static_cast<uint32_t>(dst[i]);
+    dst[i] = static_cast<int32_t>(sum);
   }
-  return acc;
+  return static_cast<int32_t>(sum);
 }
 
 }  // namespace

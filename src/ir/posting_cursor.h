@@ -1,10 +1,11 @@
 // Skip-aware access to one term's postings — the adapters between the
 // compressed TD columns (index_builder.h) and the streaming operators:
 //
-//   DocidSkipCursor — vec::SkipCursor over the term's slice of TD.docid,
-//     backed by compress::SortedRangeCursor so SkipTo decodes only windows
-//     that can contain the probe. Decode/skip counters fold into the plan's
-//     ExecStats at Close.
+//   DocidSkipCursor — vec::SkipCursor over the term's slice of TD.docid
+//     for the streaming AND join, backed by compress::BlockCursor so SkipTo
+//     decodes only windows that can contain the probe. Decode/skip counters
+//     fold into the plan's ExecStats at Close. (The ranked evaluator holds
+//     BlockCursors directly; see posting_source.h.)
 //   TfWindowReader — random access to TD.tf at posting positions, cached
 //     per 128-value window. tf is only read for postings that actually get
 //     scored, so a skipped docid window never costs a tf decode — and a
@@ -25,47 +26,47 @@
 
 namespace x100ir::ir {
 
+// Folds one cursor's skip counters into a plan's ExecStats.
+inline void FoldSkipStats(const compress::SkipStats& skip,
+                          vec::ExecStats* stats) {
+  stats->windows_decoded += skip.windows_decoded;
+  stats->windows_skipped += skip.windows_skipped;
+  stats->windows_blockmax_skipped += skip.windows_blockmax_skipped;
+}
+
 class DocidSkipCursor : public vec::SkipCursor {
  public:
-  // Cursor over postings [start + offset, start + doc_freq) of `term`.
-  // A nonzero offset resumes mid-list — how MaxScore turns a demoted
-  // term's already-advanced stream into a probe cursor.
-  Status Init(const InvertedIndex* index, uint32_t term,
-              uint64_t offset = 0) {
+  // Cursor over all postings of `term`.
+  Status Init(const InvertedIndex* index, uint32_t term) {
     if (index == nullptr) return InvalidArgument("null index");
     if (term >= index->vocab_size()) {
       return InvalidArgument("term outside vocabulary");
     }
     const TermInfo& info = index->term(term);
-    if (offset > info.doc_freq) {
-      return InvalidArgument("posting offset past the list");
-    }
-    return cursor_.Init(index->docid_decoder(), info.posting_start + offset,
+    return cursor_.Init(compress::BlockWindows(index->docid_decoder()),
+                        info.posting_start,
                         info.posting_start + info.doc_freq);
   }
 
   bool AtEnd() override { return cursor_.AtEnd(); }
-  int32_t value() override { return cursor_.value(); }
+  int32_t value() override {
+    int32_t v = 0;
+    cursor_.Value(&v);
+    return v;
+  }
   uint64_t position() override { return cursor_.position(); }
   bool Next() override { return cursor_.Next(); }
-  bool SkipTo(int32_t target) override { return cursor_.SkipTo(target); }
-
-  void FoldStats(vec::ExecStats* stats) override {
-    stats->windows_decoded += cursor_.stats().windows_decoded;
-    stats->windows_skipped += cursor_.stats().windows_skipped;
-    stats->windows_blockmax_skipped +=
-        cursor_.stats().windows_blockmax_skipped;
+  bool SkipTo(int32_t target) override {
+    cursor_.SkipTo(target);
+    return !cursor_.AtEnd();
   }
 
-  const compress::SkipStats& skip_stats() const { return cursor_.stats(); }
-
-  // The underlying range cursor, for window-granular drivers (the Block-Max
-  // MaxScore refill loop: CurrentWindowIndex / SkipCurrentWindowBlockMax /
-  // CurrentRunView / AdvanceTo).
-  compress::SortedRangeCursor& range_cursor() { return cursor_; }
+  void FoldStats(vec::ExecStats* stats) override {
+    FoldSkipStats(cursor_.stats(), stats);
+  }
 
  private:
-  compress::SortedRangeCursor cursor_;
+  compress::BlockCursor cursor_;
 };
 
 class TfWindowReader {

@@ -110,22 +110,24 @@ class TdPostings {
   Status Init(const Env& env, uint32_t term, vec::ExecStats* stats) {
     env_ = &env;
     stats_ = stats;
-    term_ = term;
     probing_ = false;
+    const TermInfo& info = env.index->term(term);
+    end_ = info.posting_start + info.doc_freq;
     model_ = {EffectiveIdf(*env.opts, *env.index, term), env.k1, env.b,
               env.inv_avgdl, 0.0f};
     tf_.Init(env.index->tf_source());
-    return stream_.Init(env.index, term);
+    return stream_.Init(docids(), info.posting_start, end_);
   }
 
   const TermModel& model() const { return model_; }
-  bool AtEnd() { return stream_.AtEnd(); }
-  uint64_t position() { return stream_.position(); }
-  uint32_t window() { return cur().CurrentWindowIndex(); }
-  void SkipWindow() { cur().SkipCurrentWindowBlockMax(); }
+  bool AtEnd() const { return stream_.AtEnd(); }
+  uint64_t position() const { return stream_.position(); }
+  uint32_t window() const { return stream_.CurrentWindowIndex(); }
+  void SkipWindow() { stream_.SkipCurrentWindowBlockMax(); }
 
   Status Run(PostingRun* run) {
-    const compress::SortedRangeCursor::RunView rv = cur().CurrentRunView();
+    compress::RunView rv;
+    stream_.CurrentRun(&rv);
     const uint32_t cnt = rv.hi - rv.lo;
     run->docids = rv.vals + rv.lo;
     run->n = cnt;
@@ -138,7 +140,7 @@ class TdPostings {
         run->scores = score_ + rv.lo;
         ++stats_->fused_windows;
         ++stats_->primitive_calls;
-        cur().AdvanceTo(rv.win_base + rv.hi);
+        stream_.AdvanceTo(rv.win_base + rv.hi);
         return OkStatus();
       }
     }
@@ -151,42 +153,47 @@ class TdPostings {
     MapBm25(cnt, score_, tfs_, dl_, model_.idf, k1, b, inv_avgdl);
     ++stats_->primitive_calls;
     run->scores = score_;
-    cur().AdvanceTo(rv.win_base + rv.hi);
+    stream_.AdvanceTo(rv.win_base + rv.hi);
     return OkStatus();
   }
 
   Status StartProbe(uint64_t pos) {
     probing_ = true;
-    return probe_.Init(env_->index, term_,
-                       pos - env_->index->term(term_).posting_start);
+    return probe_.Init(docids(), pos, end_);
   }
 
   Status Probe(int32_t d, bool* hit, float* score) {
-    *hit = probe_.SkipTo(d) && probe_.value() == d;
-    if (*hit) {
-      const float tf = static_cast<float>(tf_.TfAt(probe_.position()));
-      *score = Bm25One(model_.idf, tf, static_cast<float>(env_->doclens[d]),
-                       model_.k1, model_.b, model_.inv_avgdl);
-    }
+    *hit = false;
+    probe_.SkipTo(d);
+    if (probe_.AtEnd()) return OkStatus();
+    int32_t v = 0;
+    probe_.Value(&v);
+    if (v != d) return OkStatus();
+    const float tf = static_cast<float>(tf_.TfAt(probe_.position()));
+    *score = Bm25One(model_.idf, tf, static_cast<float>(env_->doclens[d]),
+                     model_.k1, model_.b, model_.inv_avgdl);
+    *hit = true;
     return OkStatus();
   }
 
-  void FoldStats(vec::ExecStats* stats) {
-    stream_.FoldStats(stats);
-    if (probing_) probe_.FoldStats(stats);
+  void FoldStats(vec::ExecStats* stats) const {
+    FoldSkipStats(stream_.stats(), stats);
+    if (probing_) FoldSkipStats(probe_.stats(), stats);
     stats->tf_windows_decoded += tf_.windows_decoded();
   }
 
  private:
-  compress::SortedRangeCursor& cur() { return stream_.range_cursor(); }
+  compress::BlockWindows docids() const {
+    return compress::BlockWindows(env_->index->docid_decoder());
+  }
 
   const Env* env_ = nullptr;
   vec::ExecStats* stats_ = nullptr;
-  uint32_t term_ = 0;
   bool probing_ = false;
   TermModel model_;
-  DocidSkipCursor stream_;
-  DocidSkipCursor probe_;
+  uint64_t end_ = 0;
+  compress::BlockCursor stream_;
+  compress::BlockCursor probe_;
   TfWindowReader tf_;
   alignas(32) int32_t dl_[compress::kEntryPointStride];
   alignas(32) int32_t tfs_[compress::kEntryPointStride];
@@ -256,7 +263,7 @@ class ColumnPostings {
     const float idf = kMaterialized ? info.idf
                                     : EffectiveIdf(*env.opts, *env.index, term);
     model_ = {idf, env.k1, env.b, env.inv_avgdl, env.slack};
-    return stream_.Init(env.docid, begin_, end_);
+    return stream_.Init(storage::ColumnWindows(env.docid), begin_, end_);
   }
 
   const TermModel& model() const { return model_; }
@@ -266,8 +273,11 @@ class ColumnPostings {
   void SkipWindow() { stream_.SkipCurrentWindowBlockMax(); }
 
   Status Run(PostingRun* run) {
-    const uint64_t pos = stream_.position();
-    X100IR_RETURN_IF_ERROR(stream_.CurrentRun(&run->docids, &run->n));
+    compress::RunView rv;
+    X100IR_RETURN_IF_ERROR(stream_.CurrentRun(&rv));
+    run->docids = rv.vals + rv.lo;
+    run->n = rv.hi - rv.lo;
+    const uint64_t pos = rv.win_base + rv.lo;
     X100IR_RETURN_IF_ERROR(LoadValues(pos, stream_ahead_));
     const uint64_t off = pos - vbase_;
     if constexpr (kMaterialized) {
@@ -281,20 +291,19 @@ class ColumnPostings {
       ++stats_->primitive_calls;
       run->scores = score_;
     }
-    stream_.AdvanceTo(pos + run->n);
+    stream_.AdvanceTo(rv.win_base + rv.hi);
     return OkStatus();
   }
 
   Status StartProbe(uint64_t pos) {
     probing_ = true;
-    return probe_.Init(env_->docid, pos, end_);
+    return probe_.Init(storage::ColumnWindows(env_->docid), pos, end_);
   }
 
   Status Probe(int32_t d, bool* hit, float* score) {
     *hit = false;
-    bool found = false;
-    X100IR_RETURN_IF_ERROR(probe_.SkipTo(d, &found));
-    if (!found) return OkStatus();
+    X100IR_RETURN_IF_ERROR(probe_.SkipTo(d));
+    if (probe_.AtEnd()) return OkStatus();
     int32_t v = 0;
     X100IR_RETURN_IF_ERROR(probe_.Value(&v));
     if (v != d) return OkStatus();
@@ -312,13 +321,8 @@ class ColumnPostings {
   }
 
   void FoldStats(vec::ExecStats* stats) const {
-    const auto fold = [stats](const compress::SkipStats& s) {
-      stats->windows_decoded += s.windows_decoded;
-      stats->windows_skipped += s.windows_skipped;
-      stats->windows_blockmax_skipped += s.windows_blockmax_skipped;
-    };
-    fold(stream_.stats());
-    if (probing_) fold(probe_.stats());
+    FoldSkipStats(stream_.stats(), stats);
+    if (probing_) FoldSkipStats(probe_.stats(), stats);
     stats->tf_windows_decoded += value_windows_;
   }
 
@@ -355,8 +359,8 @@ class ColumnPostings {
   bool probing_ = false;
   TermModel model_;
   uint64_t begin_ = 0, end_ = 0;
-  storage::SortedColumnCursor stream_;
-  storage::SortedColumnCursor probe_;
+  storage::ColumnCursor stream_;
+  storage::ColumnCursor probe_;
   // Resident value window: positions [vlo_, vhi_) at vals_[p - vbase_].
   uint64_t vbase_ = 0, vlo_ = 0, vhi_ = 0;
   uint64_t value_windows_ = 0;

@@ -13,6 +13,26 @@ namespace x100ir::storage {
 using ir::ColumnFileHeader;
 using ir::Q8Params;
 
+namespace {
+
+// A file of `size` bytes must be exactly `fixed` header bytes plus `count`
+// values of `width` bytes. Divides instead of multiplying: a hostile count
+// times the width could wrap around to the real size and pass.
+Status CheckPayloadSize(const std::string& path, uint64_t size,
+                        uint64_t fixed, uint64_t count, uint64_t width) {
+  if (size < fixed || (size - fixed) % width != 0 ||
+      (size - fixed) / width != count) {
+    return IOError(StrFormat(
+        "column %s is %llu bytes, not %llu values of %llu bytes",
+        path.c_str(), static_cast<unsigned long long>(size),
+        static_cast<unsigned long long>(count),
+        static_cast<unsigned long long>(width)));
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
 Status ColumnReader::Open(const std::string& path, uint32_t file_id,
                           BufferManager* bm) {
   if (bm == nullptr) return InvalidArgument("null buffer manager");
@@ -32,24 +52,13 @@ Status ColumnReader::Open(const std::string& path, uint32_t file_id,
 
   switch (encoding_) {
     case ColumnFileHeader::kRawI32:
-    case ColumnFileHeader::kRawF32: {
-      const uint64_t want = sizeof(hdr) + value_count_ * 4;
-      if (file_size_ != want) {
-        return IOError(StrFormat("column %s is %llu bytes, expected %llu",
-                                 path.c_str(),
-                                 static_cast<unsigned long long>(file_size_),
-                                 static_cast<unsigned long long>(want)));
-      }
+    case ColumnFileHeader::kRawF32:
+      X100IR_RETURN_IF_ERROR(
+          CheckPayloadSize(path, file_size_, sizeof(hdr), value_count_, 4));
       break;
-    }
     case ColumnFileHeader::kQuantU8: {
-      const uint64_t want = sizeof(hdr) + sizeof(Q8Params) + value_count_;
-      if (file_size_ != want) {
-        return IOError(StrFormat("column %s is %llu bytes, expected %llu",
-                                 path.c_str(),
-                                 static_cast<unsigned long long>(file_size_),
-                                 static_cast<unsigned long long>(want)));
-      }
+      X100IR_RETURN_IF_ERROR(CheckPayloadSize(
+          path, file_size_, sizeof(hdr) + sizeof(Q8Params), value_count_, 1));
       Q8Params params;
       X100IR_RETURN_IF_ERROR(
           file_.ReadAt(sizeof(hdr), sizeof(params), &params));
@@ -252,176 +261,31 @@ Status ColumnReader::ReadF32(uint64_t pos, uint32_t len, float* dst) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedColumnCursor
+// ColumnWindows
 // ---------------------------------------------------------------------------
 
-Status SortedColumnCursor::Init(ColumnReader* col, uint64_t begin,
-                                uint64_t end) {
-  if (col == nullptr) return InvalidArgument("null column reader");
-  if (begin > end || end > col->value_count()) {
-    return InvalidArgument("cursor range out of bounds");
-  }
-  col_ = col;
-  begin_ = begin;
-  end_ = end;
-  pos_ = begin;
-  compressed_ = col->is_compressed();
-  if (compressed_ && !col->WindowIsDelta()) {
+Status ColumnWindows::Check() const {
+  if (col_ == nullptr) return InvalidArgument("null column reader");
+  if (col_->is_compressed() && !col_->WindowIsDelta()) {
     return InvalidArgument(
         "sorted cursor needs window value bases (PFOR-DELTA)");
   }
-  win_ = kNoWindow;
-  stats_ = compress::SkipStats();
   return OkStatus();
 }
 
-Status SortedColumnCursor::EnsureWindow() {
-  if (Loaded(pos_)) return OkStatus();
-  const uint32_t w = static_cast<uint32_t>(pos_ / kStride);
-  win_base_ = static_cast<uint64_t>(w) * kStride;
-  if (compressed_) {
-    X100IR_RETURN_IF_ERROR(col_->DecodeWindow(w, win_vals_, &win_len_));
-  } else {
-    // Raw: fetch the in-range slice of kRawAhead windows in one pool
-    // access. Slots below begin_ stay unfilled and are never read
-    // (positions never drop below it).
-    const uint64_t lo = std::max(begin_, win_base_);
-    const uint64_t hi =
-        std::min<uint64_t>(end_, win_base_ + uint64_t{kStride} * kRawAhead);
-    X100IR_RETURN_IF_ERROR(col_->Read(lo, static_cast<uint32_t>(hi - lo),
-                                      win_vals_ + (lo - win_base_)));
-    win_len_ = static_cast<uint32_t>(hi - win_base_);
-  }
-  win_ = w;
-  ++stats_.windows_decoded;
-  return OkStatus();
-}
-
-Status SortedColumnCursor::CurrentRun(const int32_t** vals, uint32_t* n) {
-  X100IR_RETURN_IF_ERROR(EnsureWindow());
-  const uint64_t window_end = (pos_ / kStride + 1) * kStride;
-  const uint64_t cap =
-      std::min({end_, win_base_ + win_len_, window_end});
-  *vals = win_vals_ + (pos_ - win_base_);
-  *n = static_cast<uint32_t>(cap - pos_);
-  return OkStatus();
-}
-
-Status SortedColumnCursor::Value(int32_t* out) {
-  X100IR_RETURN_IF_ERROR(EnsureWindow());
-  *out = win_vals_[pos_ - win_base_];
-  return OkStatus();
-}
-
-Status SortedColumnCursor::ValueAt(uint64_t p, int32_t* out) {
-  if (Loaded(p)) {
-    *out = win_vals_[p - win_base_];
-    return OkStatus();
-  }
-  return col_->Read(p, 1, out);
-}
-
-Status SortedColumnCursor::SkipTo(int32_t target, bool* found) {
-  return compressed_ ? SkipToCompressed(target, found)
-                     : SkipToRaw(target, found);
-}
-
-// Same boundary rules as compress::SortedRangeCursor::SkipTo (which the
-// tests pin this against): windows with a successor entry point expose
-// their max for free; the window containing end - 1 — or the block's final
-// window — has no trustworthy successor and is always decoded as a
-// candidate rather than skipped.
-Status SortedColumnCursor::SkipToCompressed(int32_t target, bool* found) {
-  while (!AtEnd()) {
-    const uint32_t w_from = static_cast<uint32_t>(pos_ / kStride);
-    const uint32_t w_last = static_cast<uint32_t>((end_ - 1) / kStride);
-    const uint32_t full_end =
-        std::min(static_cast<uint32_t>(end_ / kStride),
-                 col_->num_windows() - 1);
-    uint32_t lo = w_from;
-    uint32_t hi = std::max(w_from, full_end);
-    while (lo < hi) {
-      const uint32_t mid = lo + (hi - lo) / 2;
-      if (col_->WindowValueBase(mid + 1) >= target) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    uint32_t cand = lo;
-    if (cand >= full_end) {
-      if (full_end > w_last) {
-        pos_ = end_;
-        *found = false;
-        return OkStatus();
-      }
-      cand = w_last;
-    }
-    if (cand > w_from) {
-      stats_.windows_skipped += cand - w_from - (win_ == w_from ? 1 : 0);
-      pos_ = static_cast<uint64_t>(cand) * kStride;
-    }
-    X100IR_RETURN_IF_ERROR(EnsureWindow());
-    const uint64_t cap = std::min<uint64_t>(end_, win_base_ + win_len_);
-    uint32_t s = static_cast<uint32_t>(pos_ - win_base_);
-    uint32_t e = static_cast<uint32_t>(cap - win_base_);
-    while (s < e) {
-      const uint32_t m = s + (e - s) / 2;
-      if (win_vals_[m] >= target) {
-        e = m;
-      } else {
-        s = m + 1;
-      }
-    }
-    if (win_base_ + s < cap) {
-      pos_ = win_base_ + s;
-      *found = true;
-      return OkStatus();
-    }
-    pos_ = cap;
-  }
-  *found = false;
-  return OkStatus();
-}
-
-// Raw columns carry no skip metadata: gallop forward with point reads
-// (each one page-granular through the pool), then binary-search the
-// bracketed range.
-Status SortedColumnCursor::SkipToRaw(int32_t target, bool* found) {
-  if (AtEnd()) {
-    *found = false;
-    return OkStatus();
-  }
-  int32_t v = 0;
-  X100IR_RETURN_IF_ERROR(ValueAt(pos_, &v));
-  if (v >= target) {
-    *found = true;
-    return OkStatus();
-  }
-  uint64_t lo = pos_;       // value < target
-  uint64_t step = 1;
-  uint64_t hi = end_;       // first position with value >= target, or end_
-  while (lo + step < end_) {
-    X100IR_RETURN_IF_ERROR(ValueAt(lo + step, &v));
-    if (v >= target) {
-      hi = lo + step;
-      break;
-    }
-    lo += step;
-    step *= 2;
-  }
-  uint64_t s = lo + 1, e = hi;
-  while (s < e) {
-    const uint64_t m = s + (e - s) / 2;
-    X100IR_RETURN_IF_ERROR(ValueAt(m, &v));
-    if (v >= target) {
-      e = m;
-    } else {
-      s = m + 1;
-    }
-  }
-  pos_ = s;
-  *found = pos_ < end_;
+Status ColumnWindows::Load(uint32_t w, uint64_t begin, uint64_t end,
+                           int32_t* dst, uint32_t* len) const {
+  if (col_->is_compressed()) return col_->DecodeWindow(w, dst, len);
+  // Raw: the in-range slice of kRawAhead windows in one pool access. Slots
+  // below `begin` stay unfilled and are never read (cursor positions never
+  // drop below it).
+  constexpr uint32_t kStride = compress::kEntryPointStride;
+  const uint64_t base = static_cast<uint64_t>(w) * kStride;
+  const uint64_t lo = std::max(begin, base);
+  const uint64_t hi = std::min<uint64_t>(end, base + kLoadValues);
+  X100IR_RETURN_IF_ERROR(
+      col_->Read(lo, static_cast<uint32_t>(hi - lo), dst + (lo - base)));
+  *len = static_cast<uint32_t>(hi - base);
   return OkStatus();
 }
 

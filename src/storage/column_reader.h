@@ -26,8 +26,8 @@
 // so they may race freely. The only member that moves is the
 // windows_decoded_ telemetry counter (relaxed atomic: exact in total,
 // approximate as a per-query delta under concurrency — the serial Table 2
-// harness still reads exact deltas). SortedColumnCursor, by contrast, is
-// per-query state: create one per query, never share it.
+// harness still reads exact deltas). A ColumnCursor over it, by contrast,
+// is per-query state: create one per query, never share it.
 //
 // Transient page faults (storage/fault_injection.h) are retried here, in
 // FetchBytes — the single funnel every byte passes through — with a
@@ -122,95 +122,49 @@ class ColumnReader {
   std::atomic<uint64_t> windows_decoded_{0};
 };
 
-// Forward cursor over a *sorted* sub-range [begin, end) of an i32 column —
-// the storage twin of compress::SortedRangeCursor (same boundary rules,
-// pinned against it by tests), reaching values through the pool:
+// Pool-served store for compress::SortedCursor (skip_cursor.h): the same
+// skip loop the resident TD.docid block runs, with every load a page fetch
+// that returns Status — a pool smaller than the pinned working set must
+// surface as an error, not a wrong result. The column's encoding picks how
+// windows arrive:
 //
-//   compressed — SkipTo binary-searches the resident per-window value
-//     bases, fetches + decodes only the one candidate window;
-//   raw        — no window metadata exists, so SkipTo gallops with point
-//     reads (each a page-granular pool access) and settles by binary
-//     search; the window cache (kRawAhead windows' in-range values per
-//     pool access) still serves dense forward walks.
+//   compressed — one window per load (DecodeWindow); SkipTo binary-searches
+//     the resident per-window value bases, so a skipped window costs no I/O;
+//   raw        — no window metadata exists, so one load reads the in-range
+//     slice of kRawAhead windows in one pool access, and SkipTo gallops
+//     with point reads (each a page-granular pool access).
 //
-// Like its in-memory twin it also offers window-granular bulk access for
-// Block-Max MaxScore (CurrentWindowIndex / SkipCurrentWindowBlockMax /
-// CurrentRun), with the same three-way SkipStats partition.
-//
-// All accessors that may touch data return Status: any access may fault a
-// page in, and a pool smaller than the pinned working set must surface as
-// an error, not a wrong result.
-class SortedColumnCursor {
+// The reader must outlive the store; the store is a borrowed pointer.
+class ColumnWindows {
  public:
-  // The reader must outlive the cursor; [begin, end) values nondecreasing.
-  Status Init(ColumnReader* col, uint64_t begin, uint64_t end);
-
-  bool AtEnd() const { return pos_ >= end_; }
-  uint64_t position() const { return pos_; }
-  void Next() { ++pos_; }
-
-  // Current value; requires !AtEnd().
-  Status Value(int32_t* out);
-
-  // Advances to the first position >= the current one whose value is >=
-  // target (nondecreasing targets). *found = false means the cursor
-  // reached the end.
-  Status SkipTo(int32_t target, bool* found);
-
-  // Index of the column window containing the cursor; requires !AtEnd().
-  uint32_t CurrentWindowIndex() const {
-    return static_cast<uint32_t>(pos_ / kStride);
-  }
-
-  // Jumps past the current window without fetching or decoding it (the
-  // Block-Max reject). Counted as blockmax-skipped unless the window is
-  // already loaded.
-  void SkipCurrentWindowBlockMax() {
-    const uint32_t w = CurrentWindowIndex();
-    if (!Loaded(pos_)) ++stats_.windows_blockmax_skipped;
-    pos_ = std::min<uint64_t>(end_, static_cast<uint64_t>(w + 1) * kStride);
-  }
-
-  // Loads the current window and returns its in-range tail: *vals points
-  // at the value at position(), *n values up to the window's (or the
-  // range's) end. Valid until the cursor loads another window. The
-  // caller moves on with AdvanceTo(position() + *n).
-  Status CurrentRun(const int32_t** vals, uint32_t* n);
-
-  // Forward-only positional advance, clamped to the range end.
-  void AdvanceTo(uint64_t pos) { pos_ = std::max(pos_, std::min(pos, end_)); }
-
-  // windows_decoded counts window loads (a decode, or one raw fetch of up
-  // to kRawAhead windows); windows_skipped SkipTo jumps;
-  // windows_blockmax_skipped SkipCurrentWindowBlockMax rejects.
-  const compress::SkipStats& stats() const { return stats_; }
-  uint64_t windows_skipped() const { return stats_.windows_skipped; }
-
- private:
-  static constexpr uint32_t kStride = compress::kEntryPointStride;
+  using Result = Status;
   // Raw columns carry no per-window structure, so a load fetches this many
   // windows at once: one pool access instead of one per window.
   static constexpr uint32_t kRawAhead = 8;
-  static constexpr uint32_t kNoWindow = 0xFFFFFFFFu;
+  static constexpr uint32_t kLoadValues =
+      compress::kEntryPointStride * kRawAhead;
 
-  // Whether position p's value sits in the loaded window(s).
-  bool Loaded(uint64_t p) const {
-    return win_ != kNoWindow && p >= win_base_ && p < win_base_ + win_len_;
+  explicit ColumnWindows(ColumnReader* col = nullptr) : col_(col) {}
+
+  Status Check() const;
+  uint64_t size() const { return col_->value_count(); }
+  bool has_value_bases() const { return col_->is_compressed(); }
+  uint32_t window_count() const { return col_->num_windows(); }
+  int32_t WindowValueBase(uint32_t w) const {
+    return col_->WindowValueBase(w);
   }
-  Status EnsureWindow();
-  Status ValueAt(uint64_t p, int32_t* out);
-  Status SkipToCompressed(int32_t target, bool* found);
-  Status SkipToRaw(int32_t target, bool* found);
+  Status Load(uint32_t w, uint64_t begin, uint64_t end, int32_t* dst,
+              uint32_t* len) const;
+  Status Read(uint64_t pos, int32_t* out) const {
+    return col_->Read(pos, 1, out);
+  }
 
-  ColumnReader* col_ = nullptr;
-  uint64_t begin_ = 0, end_ = 0, pos_ = 0;
-  bool compressed_ = false;
-  uint32_t win_ = kNoWindow;  // first loaded window
-  uint64_t win_base_ = 0;      // position of win_vals_[0]
-  uint32_t win_len_ = 0;       // loaded: [win_base_, win_base_ + win_len_)
-  int32_t win_vals_[kStride * kRawAhead];
-  compress::SkipStats stats_;
+ private:
+  ColumnReader* col_;
 };
+
+// The pool-served cursor: one term's slice of a docid column.
+using ColumnCursor = compress::SortedCursor<ColumnWindows>;
 
 }  // namespace x100ir::storage
 

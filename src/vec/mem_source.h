@@ -104,7 +104,7 @@ class BlockVectorSource : public VectorSource {
                     static_cast<int32_t*>(dst));
   }
 
-  // For skip-aware consumers (compress::SortedRangeCursor) that need the
+  // For skip-aware consumers (compress::BlockCursor) that need the
   // entry-point metadata, not just flat reads. Borrowed; valid as long as
   // the source.
   const compress::BlockDecoder* decoder() const { return &decoder_; }

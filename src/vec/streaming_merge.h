@@ -30,7 +30,7 @@ namespace x100ir::vec {
 
 // A sorted i32 stream with value-based skipping — what the streaming join
 // drives. Implementations: ir::DocidSkipCursor (compressed posting slice
-// via compress::SortedRangeCursor) and MemSkipCursor below (raw arrays;
+// via compress::BlockCursor) and MemSkipCursor below (raw arrays;
 // tests and the custom-engine baselines).
 class SkipCursor {
  public:

@@ -946,8 +946,26 @@ TEST(Codec, SimdDispatchReportsConsistently) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedRangeCursor / SkipTo (PR 4): block-skipping scans.
+// BlockCursor / SkipTo: block-skipping scans over a resident block.
 // ---------------------------------------------------------------------------
+
+// Shorthands over the resident cursor (its loads cannot fail).
+bool SkipTo(BlockCursor& cur, int32_t target) {
+  cur.SkipTo(target);
+  return !cur.AtEnd();
+}
+
+int32_t Value(BlockCursor& cur) {
+  int32_t v = 0;
+  cur.Value(&v);
+  return v;
+}
+
+RunView CurrentRun(BlockCursor& cur) {
+  RunView rv;
+  cur.CurrentRun(&rv);
+  return rv;
+}
 
 // Builds a TD.docid-shaped column: `runs` concatenated ascending runs whose
 // boundaries reset to small values (the per-term resets force_base turns
@@ -972,17 +990,17 @@ void CheckCursorAgainstOracle(const BlockDecoder& dec,
                               const std::vector<int32_t>& full,
                               uint64_t begin, uint64_t end,
                               const std::vector<int32_t>& probes) {
-  SortedRangeCursor cur;
-  ASSERT_TRUE(cur.Init(&dec, begin, end).ok());
+  BlockCursor cur;
+  ASSERT_TRUE(cur.Init(BlockWindows(&dec), begin, end).ok());
   uint64_t opos = begin;
   for (int32_t t : probes) {
     while (opos < end && full[opos] < t) ++opos;
-    const bool found = cur.SkipTo(t);
+    const bool found = SkipTo(cur, t);
     ASSERT_EQ(found, opos < end) << "probe " << t;
     ASSERT_EQ(cur.AtEnd(), opos >= end);
     if (found) {
       ASSERT_EQ(cur.position(), opos) << "probe " << t;
-      ASSERT_EQ(cur.value(), full[opos]) << "probe " << t;
+      ASSERT_EQ(Value(cur), full[opos]) << "probe " << t;
     }
   }
 }
@@ -1050,12 +1068,12 @@ TEST(SkipCursor, SequentialNextMatchesFullDecode) {
                   .ok());
   BlockDecoder dec;
   ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
-  SortedRangeCursor cur;
-  ASSERT_TRUE(cur.Init(&dec, 500, 800).ok());
+  BlockCursor cur;
+  ASSERT_TRUE(cur.Init(BlockWindows(&dec), 500, 800).ok());
   for (uint64_t p = 500; p < 800; ++p) {
     ASSERT_FALSE(cur.AtEnd());
     ASSERT_EQ(cur.position(), p);
-    ASSERT_EQ(cur.value(), values[p]);
+    ASSERT_EQ(Value(cur), values[p]);
     cur.Next();
   }
   ASSERT_TRUE(cur.AtEnd());
@@ -1076,10 +1094,10 @@ TEST(SkipCursor, SkipsWindowsWithoutDecodingThem) {
                   .ok());
   BlockDecoder dec;
   ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
-  SortedRangeCursor cur;
-  ASSERT_TRUE(cur.Init(&dec, 0, values.size()).ok());
+  BlockCursor cur;
+  ASSERT_TRUE(cur.Init(BlockWindows(&dec), 0, values.size()).ok());
   for (uint64_t p : {4000ull, 8000ull, 12700ull}) {
-    ASSERT_TRUE(cur.SkipTo(values[p]));
+    ASSERT_TRUE(SkipTo(cur, values[p]));
     EXPECT_EQ(cur.position(), p);
   }
   EXPECT_EQ(cur.stats().windows_decoded, 3u);
@@ -1110,8 +1128,8 @@ TEST(Codec, SkipStatsPartitionExact) {
   for (const auto& range : ranges) {
     const uint32_t begin = range[0], end = range[1];
     for (int rep = 0; rep < 16; ++rep) {
-      SortedRangeCursor cur;
-      ASSERT_TRUE(cur.Init(&dec, begin, end).ok());
+      BlockCursor cur;
+      ASSERT_TRUE(cur.Init(BlockWindows(&dec), begin, end).ok());
       int32_t probe = values[begin];
       while (!cur.AtEnd()) {
         switch (rng.NextBounded(3)) {
@@ -1119,7 +1137,7 @@ TEST(Codec, SkipStatsPartitionExact) {
             cur.SkipCurrentWindowBlockMax();
             break;
           case 1: {
-            const auto rv = cur.CurrentRunView();
+            const auto rv = CurrentRun(cur);
             ASSERT_LT(rv.lo, rv.hi);
             probe = std::max(probe, rv.vals[rv.hi - 1]);
             cur.AdvanceTo(rv.win_base + rv.hi);
@@ -1127,8 +1145,8 @@ TEST(Codec, SkipStatsPartitionExact) {
           }
           default: {
             probe += static_cast<int32_t>(rng.NextBounded(200));
-            if (cur.SkipTo(probe)) {
-              probe = std::max(probe, cur.value());
+            if (SkipTo(cur, probe)) {
+              probe = std::max(probe, Value(cur));
               cur.Next();
             }
             break;
@@ -1161,26 +1179,27 @@ TEST(SkipCursor, InitRejectsBadRangesAndSchemes) {
   ASSERT_TRUE(delta_dec.Init(delta_block.data(), delta_block.size()).ok());
   ASSERT_TRUE(pfor_dec.Init(pfor_block.data(), pfor_block.size()).ok());
 
-  SortedRangeCursor cur;
-  EXPECT_FALSE(cur.Init(nullptr, 0, 0).ok());
+  BlockCursor cur;
+  EXPECT_FALSE(cur.Init(BlockWindows(nullptr), 0, 0).ok());
   // PFOR blocks carry no window value bases: skipping would be wrong.
-  EXPECT_FALSE(cur.Init(&pfor_dec, 0, 1000).ok());
-  EXPECT_FALSE(cur.Init(&delta_dec, 500, 400).ok());   // begin > end
-  EXPECT_FALSE(cur.Init(&delta_dec, 0, 1001).ok());    // past the block
-  ASSERT_TRUE(cur.Init(&delta_dec, 700, 700).ok());    // empty range is fine
+  EXPECT_FALSE(cur.Init(BlockWindows(&pfor_dec), 0, 1000).ok());
+  const BlockWindows delta(&delta_dec);
+  EXPECT_FALSE(cur.Init(delta, 500, 400).ok());  // begin > end
+  EXPECT_FALSE(cur.Init(delta, 0, 1001).ok());   // past the block
+  ASSERT_TRUE(cur.Init(delta, 700, 700).ok());   // empty range is fine
   EXPECT_TRUE(cur.AtEnd());
-  EXPECT_FALSE(cur.SkipTo(0));
+  EXPECT_FALSE(SkipTo(cur, 0));
 
   // Probing below the current value never moves the cursor.
-  ASSERT_TRUE(cur.Init(&delta_dec, 200, 900).ok());
-  ASSERT_TRUE(cur.SkipTo(values[450]));
+  ASSERT_TRUE(cur.Init(delta, 200, 900).ok());
+  ASSERT_TRUE(SkipTo(cur, values[450]));
   const uint64_t pos = cur.position();
-  ASSERT_TRUE(cur.SkipTo(values[450] - 3));
+  ASSERT_TRUE(SkipTo(cur, values[450] - 3));
   EXPECT_EQ(cur.position(), pos);
-  ASSERT_TRUE(cur.SkipTo(values[450]));
+  ASSERT_TRUE(SkipTo(cur, values[450]));
   EXPECT_EQ(cur.position(), pos);
   // Probing past everything exhausts the cursor cleanly.
-  EXPECT_FALSE(cur.SkipTo(values[899] + 1));
+  EXPECT_FALSE(SkipTo(cur, values[899] + 1));
   EXPECT_TRUE(cur.AtEnd());
 }
 

@@ -2,8 +2,10 @@
 // refcount invariants, eviction-under-pressure never touching pinned
 // pages, exact stats counters, EvictAll cold-pool semantics; ColumnReader
 // round trips for every encoding plus window-granular compressed reads
-// against the resident BlockDecoder as oracle; SortedColumnCursor vs
-// compress::SortedRangeCursor across hostile block boundaries; torn-write
+// against the resident BlockDecoder as oracle; the one sorted cursor over
+// resident, pool-compressed and pool-raw stores against std::lower_bound
+// across hostile block boundaries, with its skip-counter partition; seeded
+// hostile-byte mutants of every column encoding; torn-write
 // safety of Database::Open over every persisted file; all seven RunTypes
 // end-to-end with ranked runs pinned against the BM25 float oracle; the
 // quantization error bound; and a seeded eviction-schedule stress whose
@@ -21,6 +23,7 @@
 
 #include "common/rng.h"
 #include "core/database.h"
+#include "compress/block_layout.h"
 #include "compress/pfor_delta.h"
 #include "compress/skip_cursor.h"
 #include "ir/bm25.h"
@@ -518,10 +521,124 @@ TEST(ColumnReader, RejectsTruncationBadMagicAndBadParams) {
 }
 
 // ---------------------------------------------------------------------------
-// SortedColumnCursor
+// SortedCursor over every store (compress/skip_cursor.h)
 // ---------------------------------------------------------------------------
 
-TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
+// The three stores a sorted cursor runs over, all holding `values`.
+struct CursorStores {
+  std::vector<uint8_t> block;
+  compress::BlockDecoder resident;
+  SimulatedDisk disk;
+  BufferManager bm{1ull << 30, &disk, 512};
+  ColumnReader compressed, raw;
+
+  void Open(const std::vector<int32_t>& values,
+            const compress::EncodeOptions& opts) {
+    ASSERT_TRUE(compress::PforDeltaEncode(
+                    values.data(), static_cast<uint32_t>(values.size()),
+                    opts, &block, nullptr)
+                    .ok());
+    ASSERT_TRUE(resident.Init(block.data(), block.size()).ok());
+    ASSERT_TRUE(compressed
+                    .Open(WriteFile("cur_pfd",
+                                    ColumnFileBytes(
+                                        ir::ColumnFileHeader::kCompressedBlock,
+                                        values.size(), block.data(),
+                                        block.size())),
+                          1, &bm)
+                    .ok());
+    ASSERT_TRUE(raw.Open(WriteFile("cur_raw",
+                                   ColumnFileBytes(
+                                       ir::ColumnFileHeader::kRawI32,
+                                       values.size(), values.data(),
+                                       values.size() * 4)),
+                         2, &bm)
+                    .ok());
+  }
+};
+
+// Ascending SkipTo probes against std::lower_bound over the source values.
+// A resident cursor's NoFail results answer ok() like a Status.
+template <class Windows>
+void CheckSkipToAgainstLowerBound(const Windows& store,
+                                  const std::vector<int32_t>& values,
+                                  uint64_t begin, uint64_t end,
+                                  uint64_t probe_seed) {
+  compress::SortedCursor<Windows> cur;
+  ASSERT_TRUE(cur.Init(store, begin, end).ok());
+  Rng prng(900 + probe_seed);
+  int32_t target =
+      begin < values.size()
+          ? values[begin] - 1 + static_cast<int32_t>(prng.NextBounded(3))
+          : 0;
+  for (int step = 0; step < 40; ++step) {
+    ASSERT_TRUE(cur.SkipTo(target).ok());
+    const uint64_t want =
+        std::lower_bound(values.begin() + begin, values.begin() + end,
+                         target) -
+        values.begin();
+    ASSERT_EQ(!cur.AtEnd(), want < end) << "target=" << target;
+    if (want >= end) break;
+    ASSERT_EQ(cur.position(), want) << "target=" << target;
+    int32_t v = 0;
+    ASSERT_TRUE(cur.Value(&v).ok());
+    ASSERT_EQ(v, values[want]);
+    target = v + static_cast<int32_t>(prng.NextBounded(30));
+  }
+}
+
+// The window-granular walk the ranked evaluator drives: every third window
+// rejected without a load, the others read as runs. On compressed stores
+// the whole window is decoded (slots outside the range included) and the
+// counters must name exactly the windows read and rejected.
+template <class Windows>
+void CheckWindowWalk(const Windows& store, bool compressed,
+                     const std::vector<int32_t>& values, uint64_t begin,
+                     uint64_t end) {
+  constexpr uint32_t kStride = compress::kEntryPointStride;
+  compress::SortedCursor<Windows> cur;
+  ASSERT_TRUE(cur.Init(store, begin, end).ok());
+  uint64_t read = 0, rejected = 0;
+  for (uint64_t pos = begin; pos < end;) {
+    ASSERT_FALSE(cur.AtEnd());
+    const uint32_t w = static_cast<uint32_t>(pos / kStride);
+    const uint64_t win_base = uint64_t{w} * kStride;
+    const uint64_t run_end = std::min<uint64_t>(end, win_base + kStride);
+    ASSERT_EQ(cur.CurrentWindowIndex(), w);
+    if (w % 3 == 0) {
+      cur.SkipCurrentWindowBlockMax();
+      ++rejected;
+    } else {
+      compress::RunView rv;
+      ASSERT_TRUE(cur.CurrentRun(&rv).ok());
+      ASSERT_EQ(rv.win_index, w);
+      ASSERT_EQ(rv.win_base, win_base);
+      ASSERT_EQ(rv.win_base + rv.lo, pos);
+      ASSERT_EQ(rv.win_base + rv.hi, run_end);
+      const uint32_t lo = compressed ? 0 : rv.lo;
+      const uint32_t hi = compressed ? rv.win_len : rv.hi;
+      if (compressed) {
+        ASSERT_EQ(rv.win_len,
+                  std::min<uint64_t>(kStride, values.size() - win_base));
+      }
+      for (uint32_t i = lo; i < hi; ++i) {
+        ASSERT_EQ(rv.vals[i], values[win_base + i]) << "slot " << i;
+      }
+      cur.AdvanceTo(rv.win_base + rv.hi);
+      ++read;
+    }
+    pos = run_end;
+    ASSERT_EQ(cur.position(), pos);
+  }
+  EXPECT_TRUE(cur.AtEnd());
+  if (compressed) {
+    EXPECT_EQ(cur.stats().windows_decoded, read);
+    EXPECT_EQ(cur.stats().windows_blockmax_skipped, rejected);
+    EXPECT_EQ(cur.stats().windows_skipped, 0u);
+  }
+}
+
+TEST(SortedCursor, MatchesLowerBoundOracleOnEveryStore) {
   Rng rng(77);
   std::vector<int32_t> values(1407);
   int32_t v = 0;
@@ -529,102 +646,31 @@ TEST(SortedColumnCursor, MatchesSortedRangeCursorOracle) {
     v += static_cast<int32_t>(rng.NextBounded(7));
     x = v;
   }
-  std::vector<uint8_t> block;
-  compress::BlockStats stats;
-  ASSERT_TRUE(compress::PforDeltaEncode(
-      values.data(), static_cast<uint32_t>(values.size()), {}, &block,
-      &stats).ok());
-  compress::BlockDecoder resident;
-  ASSERT_TRUE(resident.Init(block.data(), block.size()).ok());
-  const std::string path = WriteFile(
-      "cur_pfd",
-      ColumnFileBytes(ir::ColumnFileHeader::kCompressedBlock, values.size(),
-                      block.data(), block.size()));
-  const std::string raw_path = WriteFile(
-      "cur_raw", ColumnFileBytes(ir::ColumnFileHeader::kRawI32,
-                                 values.size(), values.data(),
-                                 values.size() * 4));
-  SimulatedDisk disk;
-  BufferManager bm(1ull << 30, &disk, 512);
-  ColumnReader compressed, raw;
-  ASSERT_TRUE(compressed.Open(path, 1, &bm).ok());
-  ASSERT_TRUE(raw.Open(raw_path, 2, &bm).ok());
+  CursorStores stores;
+  ASSERT_NO_FATAL_FAILURE(stores.Open(values, {}));
+  const compress::BlockWindows resident(&stores.resident);
+  const ColumnWindows compressed(&stores.compressed);
+  const ColumnWindows raw(&stores.raw);
 
   // Sub-ranges crossing window boundaries, incl. the block's tail window.
   const std::pair<uint64_t, uint64_t> ranges[] = {
       {0, values.size()}, {100, 700}, {127, 129}, {1280, 1407}, {5, 5}};
   for (const auto& [begin, end] : ranges) {
+    SCOPED_TRACE(testing::Message() << "range [" << begin << "," << end
+                                    << ")");
     for (uint64_t probe_seed = 0; probe_seed < 3; ++probe_seed) {
-      compress::SortedRangeCursor oracle;
-      ASSERT_TRUE(oracle.Init(&resident, begin, end).ok());
-      SortedColumnCursor cold, cold_raw;
-      ASSERT_TRUE(cold.Init(&compressed, begin, end).ok());
-      ASSERT_TRUE(cold_raw.Init(&raw, begin, end).ok());
-      Rng prng(900 + probe_seed);
-      int32_t target =
-          begin < values.size()
-              ? values[begin] - 1 +
-                    static_cast<int32_t>(prng.NextBounded(3))
-              : 0;
-      for (int step = 0; step < 40; ++step) {
-        const bool found_oracle = oracle.SkipTo(target);
-        bool found = false, found_raw = false;
-        ASSERT_TRUE(cold.SkipTo(target, &found).ok());
-        ASSERT_TRUE(cold_raw.SkipTo(target, &found_raw).ok());
-        ASSERT_EQ(found, found_oracle) << "target=" << target;
-        ASSERT_EQ(found_raw, found_oracle);
-        if (!found_oracle) break;
-        ASSERT_EQ(cold.position(), oracle.position());
-        ASSERT_EQ(cold_raw.position(), oracle.position());
-        int32_t cv = 0, rv = 0;
-        ASSERT_TRUE(cold.Value(&cv).ok());
-        ASSERT_TRUE(cold_raw.Value(&rv).ok());
-        ASSERT_EQ(cv, oracle.value());
-        ASSERT_EQ(rv, oracle.value());
-        target =
-            oracle.value() + static_cast<int32_t>(prng.NextBounded(30));
-      }
+      CheckSkipToAgainstLowerBound(resident, values, begin, end, probe_seed);
+      CheckSkipToAgainstLowerBound(compressed, values, begin, end,
+                                   probe_seed);
+      CheckSkipToAgainstLowerBound(raw, values, begin, end, probe_seed);
     }
-    // The window-granular walk the ranked evaluator drives: every third
-    // window rejected without a load, the others read as runs.
-    for (ColumnReader* col : {&compressed, &raw}) {
-      compress::SortedRangeCursor oracle;
-      ASSERT_TRUE(oracle.Init(&resident, begin, end).ok());
-      SortedColumnCursor walk;
-      ASSERT_TRUE(walk.Init(col, begin, end).ok());
-      while (!oracle.AtEnd()) {
-        ASSERT_FALSE(walk.AtEnd());
-        ASSERT_EQ(walk.CurrentWindowIndex(), oracle.CurrentWindowIndex());
-        if (oracle.CurrentWindowIndex() % 3 == 0) {
-          oracle.SkipCurrentWindowBlockMax();
-          walk.SkipCurrentWindowBlockMax();
-        } else {
-          const compress::SortedRangeCursor::RunView rv =
-              oracle.CurrentRunView();
-          const int32_t* vals = nullptr;
-          uint32_t n = 0;
-          ASSERT_TRUE(walk.CurrentRun(&vals, &n).ok());
-          ASSERT_EQ(n, rv.hi - rv.lo);
-          for (uint32_t i = 0; i < n; ++i) {
-            ASSERT_EQ(vals[i], rv.vals[rv.lo + i]) << "slot " << i;
-          }
-          oracle.AdvanceTo(rv.win_base + rv.hi);
-          walk.AdvanceTo(walk.position() + n);
-        }
-        ASSERT_EQ(walk.position(), oracle.position());
-      }
-      EXPECT_TRUE(walk.AtEnd());
-      if (col == &compressed) {
-        EXPECT_EQ(walk.stats().windows_decoded,
-                  oracle.stats().windows_decoded);
-        EXPECT_EQ(walk.stats().windows_blockmax_skipped,
-                  oracle.stats().windows_blockmax_skipped);
-      }
-    }
+    CheckWindowWalk(resident, true, values, begin, end);
+    CheckWindowWalk(compressed, true, values, begin, end);
+    CheckWindowWalk(raw, false, values, begin, end);
   }
 }
 
-TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
+TEST(SortedCursor, SkipsWindowsWithoutFetching) {
   // A long strictly-increasing range: skipping to a far target must not
   // decode (fetch) the windows in between.
   std::vector<int32_t> values(128 * 40);
@@ -644,14 +690,264 @@ TEST(SortedColumnCursor, SkipsWindowsWithoutFetching) {
   BufferManager bm(1ull << 30, &disk, 4096);
   ColumnReader col;
   ASSERT_TRUE(col.Open(path, 1, &bm).ok());
-  SortedColumnCursor cursor;
-  ASSERT_TRUE(cursor.Init(&col, 0, values.size()).ok());
-  bool found = false;
-  ASSERT_TRUE(cursor.SkipTo(values[128 * 35], &found).ok());
-  ASSERT_TRUE(found);
+  ColumnCursor cursor;
+  ASSERT_TRUE(cursor.Init(ColumnWindows(&col), 0, values.size()).ok());
+  ASSERT_TRUE(cursor.SkipTo(values[128 * 35]).ok());
+  ASSERT_FALSE(cursor.AtEnd());
   EXPECT_EQ(cursor.position(), 128u * 35);
-  EXPECT_GE(cursor.windows_skipped(), 30u);
+  EXPECT_GE(cursor.stats().windows_skipped, 30u);
   EXPECT_LE(col.windows_decoded(), 3u);
+}
+
+// Every 128-value window overlapping [begin, end) counted exactly once.
+void ExpectPartition(const compress::SkipStats& st, uint64_t begin,
+                     uint64_t end) {
+  const uint64_t overlapped = (end - 1) / 128 - begin / 128 + 1;
+  ASSERT_EQ(st.windows_decoded + st.windows_skipped +
+                st.windows_blockmax_skipped,
+            overlapped)
+      << "range [" << begin << "," << end << ")"
+      << " decoded=" << st.windows_decoded
+      << " skipped=" << st.windows_skipped
+      << " blockmax=" << st.windows_blockmax_skipped;
+}
+
+TEST(SortedCursor, PoolSkipStatsPartitionExact) {
+  // Codec.SkipStatsPartitionExact's randomized driver (same column, ranges
+  // and seed) over a pool-served compressed column: at exhaustion every
+  // window overlapping [begin, end) is decoded, value-skipped or
+  // block-max-skipped, exactly once. The probe-past-everything exhaust on
+  // a range ending at a window boundary is the case a pool-only copy of
+  // the skip loop once dropped.
+  Rng vrng(0xBEEF);
+  std::vector<int32_t> values(5 * 128 + 57);
+  int32_t v = 0;
+  for (auto& x : values) {
+    v += 1 + static_cast<int32_t>(vrng.NextBounded(40));
+    x = v;
+  }
+  const uint32_t n = static_cast<uint32_t>(values.size());
+  compress::EncodeOptions opts;
+  opts.force_base = true;
+  CursorStores stores;
+  ASSERT_NO_FATAL_FAILURE(stores.Open(values, opts));
+  const uint32_t ranges[][2] = {{0, n},         {1, n - 1}, {127, 129},
+                                {128, 256},     {130, 131}, {3, 128 * 4 + 1},
+                                {128 * 2, n}};
+  Rng rng(0x5EED);
+  for (const auto& range : ranges) {
+    const uint32_t begin = range[0], end = range[1];
+    for (int rep = 0; rep < 16; ++rep) {
+      ColumnCursor cur;
+      ASSERT_TRUE(cur.Init(ColumnWindows(&stores.compressed), begin, end)
+                      .ok());
+      int32_t probe = values[begin];
+      while (!cur.AtEnd()) {
+        switch (rng.NextBounded(3)) {
+          case 0:
+            cur.SkipCurrentWindowBlockMax();
+            break;
+          case 1: {
+            compress::RunView rv;
+            ASSERT_TRUE(cur.CurrentRun(&rv).ok());
+            ASSERT_LT(rv.lo, rv.hi);
+            probe = std::max(probe, rv.vals[rv.hi - 1]);
+            cur.AdvanceTo(rv.win_base + rv.hi);
+            break;
+          }
+          default: {
+            probe += static_cast<int32_t>(rng.NextBounded(200));
+            ASSERT_TRUE(cur.SkipTo(probe).ok());
+            if (!cur.AtEnd()) {
+              int32_t at = 0;
+              ASSERT_TRUE(cur.Value(&at).ok());
+              probe = std::max(probe, at);
+              cur.Next();
+            }
+            break;
+          }
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectPartition(cur.stats(), begin, end))
+          << "rep " << rep;
+    }
+  }
+  // The driver above never probes past a whole range from a window it has
+  // not loaded. Do that directly: on ranges ending at a window boundary,
+  // SkipTo jumps straight to the end and must count every window it
+  // passes.
+  const uint32_t exhaust_ranges[][2] = {
+      {128, 256}, {130, 384}, {0, 512}, {3, 128 * 4 + 1}, {0, n}};
+  for (const auto& range : exhaust_ranges) {
+    const uint32_t begin = range[0], end = range[1];
+    ColumnCursor cur;
+    ASSERT_TRUE(cur.Init(ColumnWindows(&stores.compressed), begin, end)
+                    .ok());
+    ASSERT_TRUE(cur.SkipTo(values[end - 1] + 1).ok());
+    ASSERT_TRUE(cur.AtEnd());
+    ASSERT_NO_FATAL_FAILURE(ExpectPartition(cur.stats(), begin, end));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile bytes: ColumnReader over mutated .col files
+// ---------------------------------------------------------------------------
+
+// Drives everything a query can do to an opened column — a cursor walk
+// mixing runs, block-max rejects and value skips, then full Read and
+// ReadF32 sweeps. Any Status is acceptable (values may be garbage); only a
+// crash, a hang or a sanitizer report is not.
+void WalkHostileColumn(ColumnReader* col, Rng* rng) {
+  const uint64_t n = col->value_count();
+  ColumnCursor cur;
+  if (cur.Init(ColumnWindows(col), 0, n).ok()) {
+    int64_t probe = INT32_MIN;
+    while (!cur.AtEnd()) {
+      Status s;
+      switch (rng->NextBounded(3)) {
+        case 0:
+          cur.SkipCurrentWindowBlockMax();
+          break;
+        case 1: {
+          compress::RunView rv;
+          s = cur.CurrentRun(&rv);
+          if (!s.ok()) break;
+          for (uint32_t i = rv.lo; i < rv.hi; ++i) {
+            probe = std::max<int64_t>(probe, rv.vals[i]);
+          }
+          cur.AdvanceTo(rv.win_base + rv.hi);
+          break;
+        }
+        default: {
+          probe = std::min<int64_t>(
+              INT32_MAX, probe + static_cast<int64_t>(rng->NextBounded(64)));
+          s = cur.SkipTo(static_cast<int32_t>(probe));
+          int32_t v = 0;
+          if (s.ok() && !cur.AtEnd()) s = cur.Value(&v);
+          if (s.ok() && !cur.AtEnd()) cur.Next();
+          break;
+        }
+      }
+      if (!s.ok()) break;
+    }
+  }
+  std::vector<int32_t> ints(256);
+  std::vector<float> floats(256);
+  for (uint64_t pos = 0; pos < n; pos += ints.size()) {
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<uint64_t>(ints.size(), n - pos));
+    // Either call may fail (a q8 column has no i32 view, a raw one no f32
+    // view, a mutant anything); only how it fails is under test.
+    static_cast<void>(col->Read(pos, len, ints.data()));
+    static_cast<void>(col->ReadF32(pos, len, floats.data()));
+  }
+}
+
+TEST(ColumnReader, HostileBytesFailCleanlyOrReadGarbage) {
+  // Three column files — PFOR-DELTA with exceptions, raw i32, q8 — each
+  // hit by seeded byte flips aimed at every region of its layout, plus
+  // truncations. A mutant must fail Open or survive WalkHostileColumn.
+  constexpr size_t kHdr = sizeof(ir::ColumnFileHeader);
+  Rng vrng(4242);
+  std::vector<int32_t> values(1000);
+  int32_t v = 0;
+  for (auto& x : values) {
+    v += static_cast<int32_t>(vrng.NextBounded(9));
+    if (vrng.NextBounded(16) == 0) v += 5000;  // exceptions
+    x = v;
+  }
+  const uint64_t n = values.size();
+  compress::EncodeOptions opts;
+  opts.force_base = true;
+  opts.bit_width = 4;
+  std::vector<uint8_t> block;
+  ASSERT_TRUE(compress::PforDeltaEncode(values.data(),
+                                        static_cast<uint32_t>(n), opts,
+                                        &block, nullptr)
+                  .ok());
+  compress::BlockDecoder dec;
+  ASSERT_TRUE(dec.Init(block.data(), block.size()).ok());
+  ASSERT_GT(dec.n_exceptions(), 0u);
+  ir::Q8Params params;
+  params.scale = 0.25f;
+  params.bias = 1.0f;
+  std::vector<uint8_t> q8(sizeof(params) + n);
+  std::memcpy(q8.data(), &params, sizeof(params));
+  for (uint64_t i = 0; i < n; ++i) {
+    q8[sizeof(params) + i] = static_cast<uint8_t>(values[i]);
+  }
+
+  struct Subject {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    std::vector<size_t> region_starts;  // region i: [start_i, start_i+1)
+  };
+  const size_t meta_end = kHdr + dec.MetaBytes();
+  const size_t exc_start = kHdr + dec.ExcSectionOffset();
+  const Subject subjects[] = {
+      {"pfd",
+       ColumnFileBytes(ir::ColumnFileHeader::kCompressedBlock, n,
+                       block.data(), block.size()),
+       // column header, block header, entry points, payload, exceptions
+       {0, kHdr, kHdr + sizeof(compress::internal::BlockHeader), meta_end,
+        exc_start}},
+      {"raw",
+       ColumnFileBytes(ir::ColumnFileHeader::kRawI32, n, values.data(),
+                       n * 4),
+       {0, kHdr}},
+      {"q8",
+       ColumnFileBytes(ir::ColumnFileHeader::kQuantU8, n, q8.data(),
+                       q8.size()),
+       {0, kHdr, kHdr + sizeof(params)}},
+  };
+  Rng rng(0xBAD5EED);
+  for (const Subject& subject : subjects) {
+    SCOPED_TRACE(subject.name);
+    const size_t size = subject.bytes.size();
+    uint32_t opened = 0, rejected = 0;
+    for (int mutant = 0; mutant < 240; ++mutant) {
+      std::vector<uint8_t> bytes = subject.bytes;
+      if (mutant % 8 == 7) {
+        bytes.resize(rng.NextBounded(size));  // truncation
+      } else {
+        // 1-3 flips inside one region, chosen round-robin.
+        const size_t r = mutant % subject.region_starts.size();
+        const size_t lo = subject.region_starts[r];
+        const size_t hi = r + 1 < subject.region_starts.size()
+                              ? subject.region_starts[r + 1]
+                              : size;
+        ASSERT_LT(lo, hi);
+        const uint64_t flips = 1 + rng.NextBounded(3);
+        for (uint64_t f = 0; f < flips; ++f) {
+          bytes[lo + rng.NextBounded(hi - lo)] ^=
+              static_cast<uint8_t>(1 + rng.NextBounded(255));
+        }
+      }
+      SimulatedDisk disk;
+      BufferManager bm(1ull << 20, &disk, 512);
+      ColumnReader col;
+      if (!col.Open(WriteFile("hostile", bytes), 1, &bm).ok()) {
+        ++rejected;
+        continue;
+      }
+      ++opened;
+      WalkHostileColumn(&col, &rng);
+    }
+    // The mutation set is not vacuous: some mutants get past Open and
+    // reach the read paths, some are refused.
+    EXPECT_GT(opened, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
+  // A value count whose byte size wraps around to the real file size.
+  std::vector<uint8_t> wrapped = subjects[1].bytes;
+  ir::ColumnFileHeader hdr;
+  std::memcpy(&hdr, wrapped.data(), kHdr);
+  hdr.value_count += 1ull << 62;
+  std::memcpy(wrapped.data(), &hdr, kHdr);
+  SimulatedDisk disk;
+  BufferManager bm(1ull << 20, &disk, 512);
+  ColumnReader col;
+  EXPECT_FALSE(col.Open(WriteFile("wrapped", wrapped), 1, &bm).ok());
 }
 
 // ---------------------------------------------------------------------------
