@@ -36,16 +36,7 @@ Status Database::Search(const ir::Query& query, ir::RunType type,
                         const ir::SearchOptions& opts,
                         ir::SearchResult* result) const {
   if (!open_) return InvalidArgument("database is not open");
-  std::shared_ptr<const ir::Snapshot> snap = manager_->Acquire();
-  if (snap->plain) {
-    // Exactly the monolithic index (no delta docs, no tombstones, identity
-    // docid map): run the pre-segmentation hot path, byte for byte.
-    ir::SearchEngine engine(&snap->segments[0].seg->index());
-    Status s = engine.Search(query, type, opts, result);
-    if (result != nullptr) result->epoch = snap->epoch;
-    return s;
-  }
-  return ir::SearchSnapshot(*snap, query, type, opts, result);
+  return ir::SearchSnapshot(*manager_->Acquire(), query, type, opts, result);
 }
 
 Status Database::AddDocument(const std::vector<uint32_t>& terms,

@@ -14,7 +14,7 @@
 #include "common/shared_theta.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "ir/topk.h"
+#include "ir/partitioned_search.h"
 
 namespace x100ir::dist {
 namespace {
@@ -93,6 +93,7 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
     return InvalidArgument("fewer documents than partitions");
   }
   opts_ = opts;
+  on_disk_ = !dir.empty();
 
   // Contiguous equal doc ranges: partition p owns global docids
   // [p*D/T, (p+1)*D/T). Contiguity keeps the local->global docid map a
@@ -121,16 +122,14 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
                                  static_cast<double>(opened_end);
 
   // Stand the nodes up in parallel: slicing the corpus is cheap, but each
-  // node's index build (first open) is the full encode pipeline.
+  // node's index build (first open) is the full encode pipeline. Tasks write
+  // only their own slots; the pool's drain-and-join at scope exit is the wait.
   nodes_.resize(opts.num_partitions);
   std::vector<Status> status(opts.num_partitions);
   {
     ThreadPool build_pool(std::min<uint32_t>(
         opts.num_partitions,
         std::max(1u, std::thread::hardware_concurrency())));
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t pending = opts.num_partitions;
     for (uint32_t p = 0; p < opts.num_partitions; ++p) {
       build_pool.Submit([&, p] {
         auto node = std::make_unique<Node>();
@@ -157,14 +156,10 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
           node->exec =
               std::make_unique<ThreadPool>(std::max(1u, opts.cores_per_node));
         }
-        std::lock_guard<std::mutex> lock(mu);
         status[p] = std::move(s);
         nodes_[p] = std::move(node);
-        if (--pending == 0) cv.notify_all();
       });
     }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
   }
   for (uint32_t p = 0; p < opts.num_partitions; ++p) {
     if (!status[p].ok()) {
@@ -177,24 +172,18 @@ Status Cluster::Open(const ir::Corpus& corpus, const std::string& dir,
   return OkStatus();
 }
 
-void Cluster::RunShard(const Node& node, const ir::Query& query,
-                       ir::RunType type, const DistSearchOptions& opts,
-                       const Deadline* deadline, SharedTheta* theta,
-                       bool stretch, ir::SearchResult* result, Status* status,
-                       double* service_ms) const {
+Status Cluster::RunShard(const Node& node, const ir::Query& query,
+                         ir::RunType type, const DistSearchOptions& opts,
+                         const ir::SearchOptions& sopts, bool stretch,
+                         ir::SearchResult* result, double* service_ms) const {
   *service_ms = 0.0;
   if ((opts.fault_mask >> node.id) & 1u) {
-    *status = IOError(StrFormat("node %u: injected shard fault", node.id));
-    return;
+    return IOError(StrFormat("node %u: injected shard fault", node.id));
   }
-  ir::SearchOptions sopts = opts.search;
-  sopts.global_stats = &stats_;
-  sopts.tombstones = nullptr;
-  sopts.shared_theta = theta;
-  if (deadline != nullptr) sopts.deadline = deadline;
-
   WallTimer timer;
   Status s = node.db.Search(query, type, sopts, result);
+  // Contiguous partitions: global = base + local keeps rank and docid order.
+  for (int32_t& d : result->docids) d += node.base;
   const double elapsed = timer.ElapsedSeconds();
   double service_s = elapsed;
   if (s.ok() && stretch && opts_.service_scale > 0.0) {
@@ -203,109 +192,78 @@ void Cluster::RunShard(const Node& node, const ir::Query& query,
     service_s = result->TotalSeconds() * opts_.service_scale *
                 node.speed_factor;
     if (service_s > elapsed) {
-      s = SleepService(service_s - elapsed, deadline);
+      s = SleepService(service_s - elapsed, sopts.deadline);
     }
   }
   if (s.ok() && ((opts.straggle_mask >> node.id) & 1u) &&
       opts.straggle_ms > 0.0) {
     service_s += opts.straggle_ms * 1e-3;
-    s = SleepService(opts.straggle_ms * 1e-3, deadline);
+    s = SleepService(opts.straggle_ms * 1e-3, sopts.deadline);
   }
-  *status = std::move(s);
-  *service_ms = status->ok() ? service_s * 1e3 : 0.0;
+  if (s.ok()) *service_ms = service_s * 1e3;
+  return s;
 }
 
 Status Cluster::Search(const ir::Query& query, ir::RunType type,
                        const DistSearchOptions& opts, DistResult* out) const {
+  return Scatter(query, type, opts, /*stretch=*/true, out);
+}
+
+Status Cluster::Scatter(const ir::Query& query, ir::RunType type,
+                        const DistSearchOptions& opts, bool stretch,
+                        DistResult* out) const {
   if (out == nullptr) return InvalidArgument("null dist result");
   if (!open_) return InvalidArgument("cluster is not open");
   *out = DistResult();
   const uint32_t n = num_nodes();
-  out->shard_status.resize(n);
   out->shard_service_ms.assign(n, 0.0);
 
-  WallTimer timer;
   // Coordinator-owned per-query resources: the deadline covers scatter
   // through merge, the θ channel lives exactly as long as its query.
   std::unique_ptr<Deadline> deadline;
   if (opts.deadline_seconds > 0.0) {
     deadline = std::make_unique<Deadline>(opts.deadline_seconds);
   }
-  const Deadline* dl =
-      deadline != nullptr ? deadline.get() : opts.search.deadline;
   SharedTheta theta;
-  SharedTheta* theta_ptr = opts.share_theta ? &theta : nullptr;
+  ir::SearchOptions sopts = opts.search;
+  sopts.global_stats = &stats_;
+  sopts.shared_theta = opts.share_theta ? &theta : nullptr;
+  if (deadline != nullptr) sopts.deadline = deadline.get();
 
-  std::vector<ir::SearchResult> shard_results(n);
-  if (opts.sequential) {
-    for (uint32_t i = 0; i < n; ++i) {
-      RunShard(*nodes_[i], query, type, opts, dl, theta_ptr,
-               /*stretch=*/true, &shard_results[i], &out->shard_status[i],
-               &out->shard_service_ms[i]);
-    }
-  } else {
+  const auto search_shard = [&](uint32_t i, const ir::Query& sub,
+                                const ir::SearchOptions& part_opts,
+                                ir::SearchResult* r) {
+    return RunShard(*nodes_[i], sub, type, opts, part_opts, stretch, r,
+                    &out->shard_service_ms[i]);
+  };
+  // Shards run on their nodes' executors and the gather waits for all:
+  // expired ones return promptly (the engine and the service sleep check
+  // the deadline), so a deadline bounds slowest-of-N.
+  const auto scatter = [&](uint32_t parts, const auto& task) {
+    if (opts.sequential) return ir::InlineScatter()(parts, task);
     std::mutex mu;
     std::condition_variable cv;
-    uint32_t pending = n;
-    for (uint32_t i = 0; i < n; ++i) {
+    uint32_t pending = parts;
+    for (uint32_t i = 0; i < parts; ++i) {
       nodes_[i]->exec->Submit([&, i] {
-        RunShard(*nodes_[i], query, type, opts, dl, theta_ptr,
-                 /*stretch=*/true, &shard_results[i], &out->shard_status[i],
-                 &out->shard_service_ms[i]);
+        task(i);
         std::lock_guard<std::mutex> lock(mu);
         if (--pending == 0) cv.notify_all();
       });
     }
-    // Gather waits for every shard — even expired ones return promptly
-    // because the deadline is checked inside the engine and the service
-    // sleep, so slowest-of-N is bounded by the deadline when one is set.
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return pending == 0; });
-  }
+  };
 
-  Status first_error = OkStatus();
-  for (uint32_t i = 0; i < n; ++i) {
-    if (out->shard_status[i].ok()) {
-      ++out->shards_ok;
-    } else {
-      ++out->shards_failed;
-      if (first_error.ok()) first_error = out->shard_status[i];
-    }
+  const ir::PartitionedRead read{n, on_disk_, opts.allow_partial};
+  const Status s = ir::PartitionedSearch(query, type, sopts, read,
+                                         search_shard, scatter,
+                                         &out->shard_status, &out->merged);
+  for (const Status& st : out->shard_status) {
+    ++(st.ok() ? out->shards_ok : out->shards_failed);
   }
-  if (out->shards_failed > 0 &&
-      (!opts.allow_partial || out->shards_ok == 0)) {
-    return first_error;
-  }
+  if (!s.ok()) return s;
   out->partial = out->shards_failed > 0;
-
-  // Merge in global docid space. Ranked: one exact TopK over at most n*k
-  // candidates (docids are globally unique across shards, so the result
-  // is independent of shard completion order) — never a re-score, so
-  // shard scores pass through bit-exact. Boolean: partitions ascend in
-  // docid space, so concatenation in node order is already docid-sorted
-  // and the first k match the monolithic engine's first-k cap.
-  const bool ranked_run =
-      type != ir::RunType::kBoolAnd && type != ir::RunType::kBoolOr;
-  ir::TopK ranked(opts.search.k);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!out->shard_status[i].ok()) continue;
-    const ir::SearchResult& sr = shard_results[i];
-    out->merged.MergeAccounting(sr);
-    const int32_t base = nodes_[i]->base;
-    if (ranked_run) {
-      for (size_t r = 0; r < sr.docids.size(); ++r) {
-        ranked.Push(base + sr.docids[r], sr.scores[r]);
-      }
-    } else {
-      for (int32_t d : sr.docids) out->merged.docids.push_back(base + d);
-    }
-  }
-  if (ranked_run) {
-    ranked.FinishSorted(&out->merged.docids, &out->merged.scores);
-  } else if (out->merged.docids.size() > opts.search.k) {
-    out->merged.docids.resize(opts.search.k);
-  }
-  out->merged.seconds = timer.ElapsedSeconds();
   out->latency_ms = out->merged.seconds * 1e3 + opts_.network_ms;
   return OkStatus();
 }
@@ -316,26 +274,8 @@ Status Cluster::WarmUp(const std::vector<ir::Query>& queries,
   DistSearchOptions dopts;
   dopts.search.k = k;
   for (const ir::Query& q : queries) {
-    const uint32_t n = num_nodes();
-    std::vector<ir::SearchResult> results(n);
-    std::vector<Status> status(n);
-    std::vector<double> service(n, 0.0);
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t pending = n;
-    for (uint32_t i = 0; i < n; ++i) {
-      nodes_[i]->exec->Submit([&, i] {
-        RunShard(*nodes_[i], q, type, dopts, nullptr, nullptr,
-                 /*stretch=*/false, &results[i], &status[i], &service[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return pending == 0; });
-    for (uint32_t i = 0; i < n; ++i) {
-      X100IR_RETURN_IF_ERROR(status[i]);
-    }
+    DistResult r;
+    X100IR_RETURN_IF_ERROR(Scatter(q, type, dopts, /*stretch=*/false, &r));
   }
   return OkStatus();
 }

@@ -119,7 +119,7 @@ struct DistResult {
   bool partial = false;
   uint32_t shards_ok = 0;
   uint32_t shards_failed = 0;
-  std::vector<Status> shard_status;  // per node, in node order
+  std::vector<Status> shard_status;  // per node; empty if validation failed
 
   // Simulated per-shard service times (stretch + straggle; zero for
   // faulted shards), and the query's reported latency: scatter-gather
@@ -218,14 +218,21 @@ class Cluster {
     std::unique_ptr<ThreadPool> exec;
   };
 
-  // One shard's leg of a query: engine call + service-time model.
-  // `stretch` disables the model for warm-up passes.
-  void RunShard(const Node& node, const ir::Query& query, ir::RunType type,
-                const DistSearchOptions& opts, const Deadline* deadline,
-                SharedTheta* theta, bool stretch, ir::SearchResult* result,
-                Status* status, double* service_ms) const;
+  // One scatter-gather query, a partitioned read over the nodes; `stretch`
+  // = false turns the service-time model off (warm-up passes).
+  Status Scatter(const ir::Query& query, ir::RunType type,
+                 const DistSearchOptions& opts, bool stretch,
+                 DistResult* out) const;
+
+  // One shard's leg of a query: fault mask, engine call under `sopts` (its
+  // docids mapped to global), service-time model, straggle.
+  Status RunShard(const Node& node, const ir::Query& query, ir::RunType type,
+                  const DistSearchOptions& opts, const ir::SearchOptions& sopts,
+                  bool stretch, ir::SearchResult* result,
+                  double* service_ms) const;
 
   bool open_ = false;
+  bool on_disk_ = false;  // nodes live under a directory (storage runs)
   ClusterOptions opts_;
   ir::CollectionStats stats_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -1,5 +1,5 @@
 // Request normalization shared by every search entry point — the
-// monolithic engine, the snapshot (segments + deltas) search and the
+// monolithic engine, the partitioned read (snapshots and clusters) and the
 // hand-built Table 1 engines — so all of them accept and reject exactly
 // the same requests, with the same messages.
 #ifndef X100IR_IR_NORMALIZE_H_

@@ -127,21 +127,19 @@ struct SearchOptions {
   // draws from global state, so any fixed seed gives a reproducible query.
   uint64_t rng_seed = 0;
 
-  // Segmented-read plumbing (DESIGN.md §10), set by SearchSnapshot per
-  // segment — not part of the user-facing knob surface. Both borrowed,
-  // valid for the duration of the call; null means "score with the
-  // index's own build-time stats / no deletes", which is the monolithic
-  // behavior every pre-segmentation test pins.
+  // Partitioned-read plumbing (DESIGN.md §10.6), both borrowed for the
+  // call; null means the index's own build-time stats / no deletes.
   //
-  // Live collection stats: per-term idf and avg_doc_len override the
-  // segment-local values so every segment of a snapshot scores under one
-  // global model.
+  // Collection stats: per-term idf and avg_doc_len override the index's
+  // own, so every part of a snapshot or cluster scores under one model.
+  // Database::Search fills in the snapshot's live stats unless the caller
+  // set them (a cluster sets its own, and they win).
   const CollectionStats* global_stats = nullptr;
   // Tombstone bitmap over *this index's local docids* (bit d = doc d
-  // deleted). Filtered in every path: boolean collect, union TopK drain,
-  // MaxScore candidates (every ranked run). Deleted docs are
-  // excluded from results and from num_matches. (TombstoneTest lives in
-  // collection_stats.h.)
+  // deleted), set per segment by SearchSnapshot. Filtered in every path:
+  // boolean collect, union TopK drain, MaxScore candidates (every ranked
+  // run). Deleted docs are excluded from results and from num_matches.
+  // (TombstoneTest lives in collection_stats.h.)
   const uint64_t* tombstones = nullptr;
 
   // Distributed shared-θ channel (DESIGN.md §11.3), set by the dist/
@@ -213,11 +211,11 @@ struct SearchResult {
   double TotalSeconds() const { return seconds + io_seconds; }
 
   // Folds another structure's execution accounting into this result — the
-  // one-call aggregation every multi-structure read uses (per-segment
-  // results in SearchSnapshot, per-shard results in the dist/
-  // coordinator). Docids/scores/epoch are NOT touched: result merging is
-  // rank- and structure-specific, accounting aggregation is not. Matches
-  // are additive because the merged structures partition the docid space.
+  // one-call aggregation of the partitioned-read core (per segment and
+  // delta of a snapshot, per node of a cluster; ir/partitioned_search.h).
+  // Docids/scores/epoch are NOT touched: result merging is rank- and
+  // structure-specific, accounting aggregation is not. Matches are
+  // additive because the merged structures partition the docid space.
   void MergeAccounting(const SearchResult& o) {
     num_matches += o.num_matches;
     used_second_pass = used_second_pass || o.used_second_pass;

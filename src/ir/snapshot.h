@@ -86,19 +86,15 @@ struct Snapshot {
   std::vector<SegmentRead> segments;
   std::vector<DeltaRead> deltas;
   std::shared_ptr<const CollectionStats> stats;
-  // True when this view is exactly the monolithic index: one identity-map
-  // segment, no visible delta documents, no tombstones. Database::Search
-  // then routes through the engine with no segmented-read plumbing at all
-  // — byte-identical to the pre-segmentation hot path.
-  bool plain = false;
+  bool on_disk = false;  // the database has a directory (storage runs)
 };
 
-// Executes one query against a snapshot: every segment through the normal
-// SearchEngine (with the snapshot's live stats and tombstones plumbed into
-// SearchOptions), the delta buffers by exact scalar evaluation, results
-// merged in global docid space. Thread-safe; `user_opts.global_stats` and
-// `user_opts.tombstones` must be null (they are per-segment outputs of
-// this function, not inputs to it).
+// Executes one query against a snapshot as one partitioned read
+// (ir/partitioned_search.h) over its segments, then its delta buffers.
+// Scores under the caller's `user_opts.global_stats` when set (a cluster
+// node scores under the cluster's), else the snapshot's live stats; a
+// caller's shared_theta passes through. `user_opts.tombstones` is ignored
+// (set per segment). Thread-safe.
 Status SearchSnapshot(const Snapshot& snap, const Query& query, RunType type,
                       const SearchOptions& user_opts, SearchResult* result);
 

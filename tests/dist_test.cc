@@ -632,7 +632,7 @@ TEST(ClusterStorage, PartitionIndexesBuildOnceAndReuseOnReopen) {
 // stats, so the distributed rankings must be equivalent to the monolithic
 // storage run. (TCM/TCMQ8 bake partition-local stats into materialized
 // columns at build time — a documented substitution, not asserted here.)
-TEST(ClusterStorage, TwoPassStorageRunMatchesOracle) {
+TEST(ClusterStorage, TfStorageRunMatchesOracle) {
   const std::string cdir = TempClusterDir("cluster");
   const std::string odir = TempClusterDir("oracle");
   std::filesystem::remove_all(cdir);

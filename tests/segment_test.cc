@@ -380,8 +380,8 @@ TEST(SegmentTest, SearchDuringMergeIsBitIdenticalToOracle) {
   EXPECT_GT(reader_queries.load(), 0u);
 
   // Post-merge: same oracle still holds, including the storage runs the
-  // merged segment's materialized columns now serve (two-pass execution
-  // differs in summation order: rank-equivalence, not bitwise).
+  // merged segment's columns now serve (MaxScore's term demotion changes
+  // the summation order: rank-equivalence, not bitwise).
   ExpectMatchesOracle(db, oracle, queries);
   SearchOptions opts;
   opts.k = 30;
@@ -570,7 +570,10 @@ TEST(SegmentTest, TornManifestFallsBackToCleanRebuild) {
   EXPECT_EQ(db.epoch(), 0u);
   EXPECT_FALSE(std::filesystem::exists(dopts.dir + "/seg_1"));
   auto snap = db.Acquire();
-  EXPECT_TRUE(snap->plain);
+  ASSERT_EQ(snap->segments.size(), 1u);
+  EXPECT_TRUE(snap->segments[0].seg->identity_map());
+  EXPECT_EQ(snap->segments[0].tombstones, nullptr);
+  EXPECT_TRUE(snap->deltas.empty());
   EXPECT_EQ(snap->stats->num_docs, db.corpus().num_docs());
   int32_t docid = -1;
   ASSERT_TRUE(db.AddDocument({1, 2, 3}, &docid).ok());
@@ -583,6 +586,101 @@ TEST(SegmentTest, TornManifestFallsBackToCleanRebuild) {
   Oracle oracle;
   BuildOracle(model, &oracle);
   ExpectMatchesOracle(db, oracle, MakeQueries(db.corpus(), 10));
+}
+
+// ---------------------------------------------------------------------------
+// One partitioned read: the one-part case and the storage precondition.
+// ---------------------------------------------------------------------------
+
+void ExpectSameExecStats(const vec::ExecStats& a, const vec::ExecStats& b) {
+  EXPECT_EQ(a.windows_decoded, b.windows_decoded);
+  EXPECT_EQ(a.windows_skipped, b.windows_skipped);
+  EXPECT_EQ(a.windows_blockmax_skipped, b.windows_blockmax_skipped);
+  EXPECT_EQ(a.tf_windows_decoded, b.tf_windows_decoded);
+  EXPECT_EQ(a.fused_windows, b.fused_windows);
+  EXPECT_EQ(a.primitive_calls, b.primitive_calls);
+  EXPECT_EQ(a.vectors_pruned, b.vectors_pruned);
+  EXPECT_EQ(a.docs_probed, b.docs_probed);
+}
+
+// A one-segment database is a one-part read: the segment's result is the
+// answer, with no re-merge, so Database::Search must be the engine over
+// that segment's index bit for bit in every run — docids, scores, match
+// count and execution counters. Both stats cases: none from the caller
+// (the snapshot's live stats equal the segment's build-time ones), and the
+// caller's own (how a cluster node is called), which must win over the
+// snapshot's.
+TEST(SegmentTest, OnePartReadIsBitIdenticalToTheEngine) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  dopts.dir = FreshDir("db");
+  dopts.storage.page_bytes = 4096;
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  auto snap = db.Acquire();
+  ASSERT_EQ(snap->segments.size(), 1u);
+  ASSERT_TRUE(snap->deltas.empty());
+  const SearchEngine engine(&snap->segments[0].seg->index());
+
+  // A model the segment's own stats are not: this segment as one of two
+  // equal shards of a cluster.
+  CollectionStats cluster = *snap->stats;
+  cluster.num_docs *= 2;
+  for (uint32_t& df : cluster.df) df *= 2;
+
+  const CollectionStats* const caller_stats[] = {nullptr, &cluster};
+  for (const CollectionStats* stats : caller_stats) {
+    SearchOptions opts;
+    opts.k = 30;
+    opts.global_stats = stats;
+    for (const Query& q : MakeQueries(db.corpus(), 12)) {
+      for (RunType type : AllRunTypes()) {
+        SearchResult got, want;
+        ASSERT_TRUE(db.Search(q, type, opts, &got).ok());
+        ASSERT_TRUE(engine.Search(q, type, opts, &want).ok());
+        EXPECT_EQ(got.docids, want.docids) << RunTypeName(type);
+        EXPECT_EQ(got.scores, want.scores) << RunTypeName(type);
+        EXPECT_EQ(got.num_matches, want.num_matches) << RunTypeName(type);
+        ExpectSameExecStats(got.stats, want.stats);
+      }
+    }
+  }
+}
+
+// The storage runs read cold columns through the buffer pool, so an
+// in-memory database refuses them — decided once, from the database, not
+// per segment. A database whose every document was deleted and merged
+// away has no segment left to ask; it must still refuse, not answer from
+// the delta buffer.
+TEST(SegmentTest, StorageRunsNeedAnOnDiskDatabaseEvenWithNoSegments) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = TinyGenerated();
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+  Query q;
+  q.terms = {1, 2};
+  SearchResult r;
+  for (RunType type : AllRunTypes()) {
+    if (!IsStorageRun(type)) continue;
+    EXPECT_EQ(db.Search(q, type, SearchOptions(), &r).code(),
+              StatusCode::kFailedPrecondition);
+  }
+
+  for (uint32_t d = 0; d < db.corpus().num_docs(); ++d) {
+    ASSERT_TRUE(db.DeleteDocument(static_cast<int32_t>(d)).ok());
+  }
+  ASSERT_TRUE(db.Merge().ok());
+  ASSERT_TRUE(db.Acquire()->segments.empty());
+  ASSERT_TRUE(db.AddDocument({1, 2, 3}, nullptr).ok());
+  for (RunType type : AllRunTypes()) {
+    const Status s = db.Search(q, type, SearchOptions(), &r);
+    if (IsStorageRun(type)) {
+      EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << RunTypeName(type);
+    } else {
+      ASSERT_TRUE(s.ok()) << RunTypeName(type);
+      EXPECT_EQ(r.docids.size(), 1u) << RunTypeName(type);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
