@@ -13,22 +13,67 @@
 namespace x100ir::ir {
 namespace {
 
+// The full-coverage size, in words, of a tombstone bitmap over a structure
+// of `num_docs` documents. Readers (TombstoneTest in the engine and the
+// delta scans) index by arbitrary live docids with no bounds check of their
+// own, so every published bitmap spans ALL of its structure, not just the
+// highest set bit — a short bitmap would be an out-of-bounds read, not a
+// "not deleted". Every bitmap this file builds or grows is sized here.
+size_t CoverageWords(uint32_t num_docs) { return num_docs / 64 + 1; }
+
 // Copy-on-write tombstone set: never mutates the shared current bitmap
-// (snapshots born earlier keep reading their version), publishes a copy
-// with one more bit. `capacity_docs` is the owning structure's current doc
-// count: the copy is sized to cover ALL of it, not just the highest set
-// bit, because readers (TombstoneTest in the engine and the delta scans)
-// index by arbitrary live docids with no bounds check of their own — a
-// short bitmap would be an out-of-bounds read, not a "not deleted".
+// (snapshots born earlier keep reading their version), publishes a
+// full-coverage copy with one more bit.
 TombstoneBits SetBitCow(const TombstoneBits& cur, uint32_t bit,
-                        uint32_t capacity_docs) {
-  const size_t need =
-      std::max<size_t>(bit / 64 + 1, capacity_docs / 64 + 1);
+                        uint32_t num_docs) {
   auto next = std::make_shared<std::vector<uint64_t>>(
       cur != nullptr ? *cur : std::vector<uint64_t>());
-  if (next->size() < need) next->resize(need, 0);
+  next->resize(std::max(next->size(), CoverageWords(num_docs)), 0);
   (*next)[bit / 64] |= 1ull << (bit % 64);
   return next;
+}
+
+// One live document as ForEachLiveDoc visits it. `part` numbers the walked
+// structures: segments first, then deltas, in list order.
+struct LiveDoc {
+  size_t part;
+  uint32_t local;
+  int32_t global;
+  const std::vector<DocTerm>& doc;
+  int32_t len;
+};
+
+// Visits every live (untombstoned) document of `segments`, then of each
+// delta's visible prefix, ascending local docid within a part — ascending
+// global docid overall, since segment globals sit below every delta base.
+// The one walk behind the merge's gather, the live-stats recount and the
+// merge commit's tombstone derivation, which relies on all three agreeing
+// on this order.
+template <typename Fn>
+void ForEachLiveDoc(const std::vector<Snapshot::SegmentRead>& segments,
+                    const std::vector<Snapshot::DeltaRead>& deltas, Fn&& fn) {
+  size_t part = 0;
+  for (const Snapshot::SegmentRead& sr : segments) {
+    const uint64_t* bits =
+        sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
+    for (uint32_t local = 0; local < sr.seg->num_docs(); ++local) {
+      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
+      fn(LiveDoc{part, local, sr.seg->GlobalOf(static_cast<int32_t>(local)),
+                 sr.seg->doc(local), sr.seg->doc_len(local)});
+    }
+    ++part;
+  }
+  for (const Snapshot::DeltaRead& dr : deltas) {
+    const uint64_t* bits =
+        dr.tombstones != nullptr ? dr.tombstones->data() : nullptr;
+    for (uint32_t local = 0; local < dr.visible; ++local) {
+      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
+      fn(LiveDoc{part, local,
+                 dr.delta->base_docid() + static_cast<int32_t>(local),
+                 dr.delta->doc(local), dr.delta->doc_len(local)});
+    }
+    ++part;
+  }
 }
 
 std::string SegDir(const std::string& root, uint32_t seg_id) {
@@ -101,7 +146,6 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
   if (stats == nullptr) return InvalidArgument("null build stats");
   corpus_ = corpus;
   dir_ = dir;
-  storage_opts_ = storage;
   if (!dir_.empty()) {
     disk_ = std::make_unique<storage::SimulatedDisk>(storage.disk);
     pool_ = std::make_unique<storage::BufferManager>(
@@ -141,22 +185,11 @@ Status SnapshotManager::Open(const Corpus* corpus, const std::string& dir,
     epoch_ = 0;
     next_seg_id_ = 1;
     next_docid_ = static_cast<int32_t>(corpus_->num_docs());
-    live_num_docs_ = corpus_->num_docs();
-    live_total_len_ = 0;
-    for (int32_t len : corpus_->doc_lens()) {
-      live_total_len_ += static_cast<uint64_t>(len);
-    }
-    live_df_.assign(corpus_->vocab_size(), 0);
-    const InvertedIndex& idx = segments_[0].seg->index();
-    for (uint32_t t = 0; t < idx.vocab_size(); ++t) {
-      live_df_[t] = idx.term(t).doc_freq;
-    }
   }
-  sealed_.clear();
-  sealed_tombs_.clear();
-  delta_ = std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_);
-  delta_tombs_.reset();
-  merge_deletes_.clear();
+  deltas_.assign(
+      1, {std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_),
+          0, nullptr});
+  RecountLiveStatsLocked();
   if (!dir_.empty() && storage.wal.enabled) {
     wal_ = std::make_unique<storage::Wal>();
     X100IR_RETURN_IF_ERROR(
@@ -206,10 +239,10 @@ Status SnapshotManager::ReplayWalLocked() {
         DeleteTarget target;
         Status found = FindDeleteTargetLocked(docid, &target);
         // Idempotent: the delete may already be durable via the manifest
-        // (it was journaled into a merge, or the doc merged away).
+        // (a merge carried it as a tombstone, or the doc merged away).
         if (found.code() == StatusCode::kNotFound) return OkStatus();
         X100IR_RETURN_IF_ERROR(found);
-        ApplyDeleteLocked(target, docid);
+        ApplyDeleteLocked(target);
         return OkStatus();
       }
       case storage::WalRecordType::kDeltaSealed: {
@@ -221,14 +254,7 @@ Status SnapshotManager::ReplayWalLocked() {
         if (cutoff > next_docid_) {
           return OutOfRange("seal cutoff beyond replayed docids");
         }
-        if (delta_->num_docs() > 0) {
-          delta_->Seal();
-          sealed_.push_back(delta_);
-          sealed_tombs_.push_back(delta_tombs_);
-          delta_ = std::make_shared<DeltaSegment>(corpus_->vocab_size(),
-                                                  next_docid_);
-          delta_tombs_.reset();
-        }
+        SealActiveLocked();
         return OkStatus();
       }
       case storage::WalRecordType::kMergeCommitted:
@@ -257,8 +283,8 @@ Status SnapshotManager::TryLoadManifest(BuildStats* stats) {
     tomb_words.resize(hdr.num_segments);
     for (uint32_t i = 0; ok && i < hdr.num_segments; ++i) {
       ok = std::fread(&entries[i], sizeof(ManifestSegment), 1, f) == 1;
-      const uint32_t max_words = entries[i].num_docs / 64 + 1;
-      ok = ok && entries[i].num_tombstone_words <= max_words;
+      ok = ok && entries[i].num_tombstone_words <=
+                     CoverageWords(entries[i].num_docs);
       if (ok && entries[i].num_tombstone_words > 0) {
         tomb_words[i].resize(entries[i].num_tombstone_words);
         ok = std::fread(tomb_words[i].data(),
@@ -300,7 +326,7 @@ Status SnapshotManager::TryLoadManifest(BuildStats* stats) {
     if (!tomb_words[i].empty()) {
       // Manifests written by this code are full-coverage already; pad any
       // shorter (but magic-valid) bitmap rather than trust it.
-      tomb_words[i].resize(seg->num_docs() / 64 + 1, 0);
+      tomb_words[i].resize(CoverageWords(seg->num_docs()), 0);
       tombs = std::make_shared<std::vector<uint64_t>>(
           std::move(tomb_words[i]));
     }
@@ -320,7 +346,6 @@ Status SnapshotManager::TryLoadManifest(BuildStats* stats) {
   epoch_ = hdr.epoch;
   next_seg_id_ = hdr.next_seg_id;
   next_docid_ = hdr.next_docid;
-  RecountLiveStatsLocked();
   return OkStatus();
 }
 
@@ -328,16 +353,11 @@ void SnapshotManager::RecountLiveStatsLocked() {
   live_num_docs_ = 0;
   live_total_len_ = 0;
   live_df_.assign(corpus_->vocab_size(), 0);
-  for (const Snapshot::SegmentRead& sr : segments_) {
-    const uint64_t* bits =
-        sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
-    for (uint32_t local = 0; local < sr.seg->num_docs(); ++local) {
-      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
-      ++live_num_docs_;
-      live_total_len_ += static_cast<uint64_t>(sr.seg->doc_len(local));
-      for (const DocTerm& dt : sr.seg->doc(local)) ++live_df_[dt.term];
-    }
-  }
+  ForEachLiveDoc(segments_, deltas_, [this](const LiveDoc& d) {
+    ++live_num_docs_;
+    live_total_len_ += static_cast<uint64_t>(d.len);
+    for (const DocTerm& dt : d.doc) ++live_df_[dt.term];
+  });
 }
 
 std::shared_ptr<const CollectionStats> SnapshotManager::FreezeStatsLocked()
@@ -357,17 +377,21 @@ void SnapshotManager::PublishLocked() {
   auto snap = std::make_shared<Snapshot>();
   snap->epoch = epoch_;
   snap->segments = segments_;
-  for (size_t i = 0; i < sealed_.size(); ++i) {
-    snap->deltas.push_back(
-        {sealed_[i], sealed_[i]->num_docs(), sealed_tombs_[i]});
-  }
-  const uint32_t active_visible = delta_->num_docs();
-  if (active_visible > 0) {
-    snap->deltas.push_back({delta_, active_visible, delta_tombs_});
+  for (const Snapshot::DeltaRead& dr : deltas_) {
+    if (dr.visible > 0) snap->deltas.push_back(dr);
   }
   snap->stats = FreezeStatsLocked();
   snap->on_disk = pool_ != nullptr;
   current_ = std::move(snap);
+}
+
+void SnapshotManager::SealActiveLocked() {
+  Snapshot::DeltaRead& active = deltas_.back();
+  if (active.visible == 0) return;
+  active.delta->Seal();
+  deltas_.push_back(
+      {std::make_shared<DeltaSegment>(corpus_->vocab_size(), next_docid_), 0,
+       nullptr});
 }
 
 std::shared_ptr<const Snapshot> SnapshotManager::Acquire() const {
@@ -438,21 +462,22 @@ Status SnapshotManager::ApplyAddLocked(std::vector<DocTerm> doc, int32_t len,
   // The active delta is only ever sealed while holding mu_ (StartMerge),
   // and sealing installs a fresh active delta in the same critical
   // section, so this Add cannot race a seal.
+  Snapshot::DeltaRead& active = deltas_.back();
   int32_t id = -1;
-  X100IR_RETURN_IF_ERROR(delta_->Add(std::move(doc), &id));
-  // Keep the coverage invariant (SetBitCow): an existing delta bitmap must
-  // span the delta's new doc count, or readers of the next snapshot would
-  // index past it. COW — earlier snapshots keep their pairing.
-  if (delta_tombs_ != nullptr &&
-      delta_tombs_->size() < delta_->num_docs() / 64 + 1) {
-    auto grown = std::make_shared<std::vector<uint64_t>>(*delta_tombs_);
-    grown->resize(delta_->num_docs() / 64 + 1, 0);
-    delta_tombs_ = std::move(grown);
+  X100IR_RETURN_IF_ERROR(active.delta->Add(std::move(doc), &id));
+  active.visible = active.delta->num_docs();
+  // Keep the coverage invariant: an existing delta bitmap must span the
+  // delta's new doc count, or readers of the next snapshot would index past
+  // it. COW — earlier snapshots keep their pairing.
+  if (active.tombstones != nullptr &&
+      active.tombstones->size() < CoverageWords(active.visible)) {
+    auto grown = std::make_shared<std::vector<uint64_t>>(*active.tombstones);
+    grown->resize(CoverageWords(active.visible), 0);
+    active.tombstones = std::move(grown);
   }
   ++live_num_docs_;
   live_total_len_ += static_cast<uint64_t>(len);
-  for (const DocTerm& dt : delta_->doc(static_cast<uint32_t>(
-           id - delta_->base_docid()))) {
+  for (const DocTerm& dt : active.delta->doc(active.visible - 1)) {
     ++live_df_[dt.term];
   }
   ++next_docid_;
@@ -462,91 +487,46 @@ Status SnapshotManager::ApplyAddLocked(std::vector<DocTerm> doc, int32_t len,
 }
 
 Status SnapshotManager::FindDeleteTargetLocked(int32_t docid,
-                                               DeleteTarget* target) const {
+                                               DeleteTarget* target) {
   if (docid < 0 || docid >= next_docid_) {
     return NotFound(StrFormat("docid %d was never allocated", docid));
   }
-  if (docid >= delta_->base_docid()) {
-    const uint32_t local = static_cast<uint32_t>(docid - delta_->base_docid());
-    if (local >= delta_->num_docs()) {
-      return NotFound(StrFormat("docid %d was never allocated", docid));
-    }
-    const uint64_t* bits =
-        delta_tombs_ != nullptr ? delta_tombs_->data() : nullptr;
-    if (TombstoneTest(bits, static_cast<int32_t>(local))) {
-      return NotFound(StrFormat("docid %d is already deleted", docid));
-    }
-    target->kind = DeleteTarget::Kind::kActiveDelta;
-    target->local = local;
-    target->doc = &delta_->doc(local);
-    target->len = delta_->doc_len(local);
-    return OkStatus();
+  DeleteTarget t;
+  for (Snapshot::DeltaRead& dr : deltas_) {
+    const int32_t local = docid - dr.delta->base_docid();
+    if (local < 0 || local >= static_cast<int32_t>(dr.visible)) continue;
+    const uint32_t l = static_cast<uint32_t>(local);
+    t = {&dr.tombstones, l, dr.visible, &dr.delta->doc(l),
+         dr.delta->doc_len(l)};
+    break;
   }
-  for (size_t i = 0; i < sealed_.size(); ++i) {
-    const DeltaSegment& sd = *sealed_[i];
-    if (docid < sd.base_docid() ||
-        docid >= sd.base_docid() + static_cast<int32_t>(sd.num_docs())) {
-      continue;
-    }
-    const uint32_t local = static_cast<uint32_t>(docid - sd.base_docid());
-    const uint64_t* bits =
-        sealed_tombs_[i] != nullptr ? sealed_tombs_[i]->data() : nullptr;
-    if (TombstoneTest(bits, static_cast<int32_t>(local))) {
-      return NotFound(StrFormat("docid %d is already deleted", docid));
-    }
-    target->kind = DeleteTarget::Kind::kSealedDelta;
-    target->index = i;
-    target->local = local;
-    target->doc = &sd.doc(local);
-    target->len = sd.doc_len(local);
-    return OkStatus();
-  }
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    const Snapshot::SegmentRead& sr = segments_[i];
+  for (size_t i = 0; t.tombstones == nullptr && i < segments_.size(); ++i) {
+    Snapshot::SegmentRead& sr = segments_[i];
     const int32_t local = sr.seg->LocalOf(docid);
     if (local < 0) continue;
-    const uint64_t* bits =
-        sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
-    if (TombstoneTest(bits, local)) {
-      return NotFound(StrFormat("docid %d is already deleted", docid));
-    }
-    target->kind = DeleteTarget::Kind::kSegment;
-    target->index = i;
-    target->local = static_cast<uint32_t>(local);
-    target->doc = &sr.seg->doc(static_cast<uint32_t>(local));
-    target->len = sr.seg->doc_len(static_cast<uint32_t>(local));
-    return OkStatus();
+    const uint32_t l = static_cast<uint32_t>(local);
+    t = {&sr.tombstones, l, sr.seg->num_docs(), &sr.seg->doc(l),
+         sr.seg->doc_len(l)};
   }
-  // Allocated range but between structures: the doc was merged away and
-  // its segment replaced — only possible for an already-deleted doc
-  // (merges carry every live doc forward).
-  return NotFound(StrFormat("docid %d is already deleted", docid));
+  // In no structure: the doc was merged away and its segment replaced —
+  // only possible for an already-deleted doc (merges carry every live doc
+  // forward).
+  if (t.tombstones == nullptr ||
+      TombstoneTest(*t.tombstones != nullptr ? (*t.tombstones)->data()
+                                             : nullptr,
+                    static_cast<int32_t>(t.local))) {
+    return NotFound(StrFormat("docid %d is already deleted", docid));
+  }
+  *target = t;
+  return OkStatus();
 }
 
-void SnapshotManager::ApplyDeleteLocked(const DeleteTarget& target,
-                                        int32_t docid) {
-  switch (target.kind) {
-    case DeleteTarget::Kind::kActiveDelta:
-      delta_tombs_ = SetBitCow(delta_tombs_, target.local,
-                               delta_->num_docs());
-      break;
-    case DeleteTarget::Kind::kSealedDelta:
-      sealed_tombs_[target.index] =
-          SetBitCow(sealed_tombs_[target.index], target.local,
-                    sealed_[target.index]->num_docs());
-      break;
-    case DeleteTarget::Kind::kSegment:
-      segments_[target.index].tombstones =
-          SetBitCow(segments_[target.index].tombstones, target.local,
-                    segments_[target.index].seg->num_docs());
-      break;
-  }
+void SnapshotManager::ApplyDeleteLocked(const DeleteTarget& target) {
+  *target.tombstones =
+      SetBitCow(*target.tombstones, target.local, target.num_docs);
   --live_num_docs_;
   live_total_len_ -= static_cast<uint64_t>(target.len);
   for (const DocTerm& dt : *target.doc) --live_df_[dt.term];
-  if (merge_running_ && docid < merge_cutoff_) {
-    merge_deletes_.push_back(docid);
-  }
   ++epoch_;
 }
 
@@ -557,9 +537,9 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
     std::lock_guard<std::mutex> lock(mu_);
     DeleteTarget target;
     X100IR_RETURN_IF_ERROR(FindDeleteTargetLocked(docid, &target));
-    const bool persistent_owner =
-        target.kind == DeleteTarget::Kind::kSegment;
-    ApplyDeleteLocked(target, docid);
+    // Segment globals sit below every delta base.
+    const bool persistent_owner = docid < deltas_.front().delta->base_docid();
+    ApplyDeleteLocked(target);
     if (wal_ != nullptr) {
       // The WAL is the durability story for every delete — including
       // segment docs, whose tombstones replay onto the adopted manifest —
@@ -574,7 +554,7 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
       // way, re-writing the manifest. A failure leaves the in-memory
       // delete applied and reports the error — the reopen then
       // resurrects, it never loses.
-      persisted = WriteManifestLocked(next_docid_);
+      persisted = WriteManifestLocked(segments_, next_docid_);
     }
     PublishLocked();
   }
@@ -584,8 +564,9 @@ Status SnapshotManager::DeleteDocument(int32_t docid) {
   return OkStatus();
 }
 
-Status SnapshotManager::WriteManifestLocked(int32_t next_docid,
-                                            bool* renamed) {
+Status SnapshotManager::WriteManifestLocked(
+    const std::vector<Snapshot::SegmentRead>& segments, int32_t next_docid,
+    bool* renamed) {
   if (renamed != nullptr) *renamed = false;
   if (storage::CrashedNow()) return IOError("simulated crash");
   const std::string tmp = dir_ + "/" + kManifestTmpFile;
@@ -593,13 +574,13 @@ Status SnapshotManager::WriteManifestLocked(int32_t next_docid,
   ManifestHeader hdr;
   hdr.corpus_fingerprint = corpus_->Fingerprint();
   hdr.epoch = epoch_;
-  hdr.num_segments = static_cast<uint32_t>(segments_.size());
+  hdr.num_segments = static_cast<uint32_t>(segments.size());
   hdr.next_seg_id = next_seg_id_;
   hdr.next_docid = next_docid;
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return IOError("cannot create " + tmp);
   bool ok = std::fwrite(&hdr, sizeof(hdr), 1, f) == 1;
-  for (const Snapshot::SegmentRead& sr : segments_) {
+  for (const Snapshot::SegmentRead& sr : segments) {
     ManifestSegment e;
     e.seg_id = sr.seg->seg_id();
     e.num_docs = sr.seg->num_docs();
@@ -660,20 +641,11 @@ Status SnapshotManager::StartMerge() {
                        static_cast<uint32_t>(payload.size()), nullptr));
       X100IR_RETURN_IF_ERROR(wal_->Rotate(&input.wal_sealed_seq));
     }
-    delta_->Seal();
-    sealed_.push_back(delta_);
-    sealed_tombs_.push_back(delta_tombs_);
-    delta_ = std::make_shared<DeltaSegment>(corpus_->vocab_size(),
-                                            next_docid_);
-    delta_tombs_.reset();
+    SealActiveLocked();
     input.segments = segments_;
-    for (size_t i = 0; i < sealed_.size(); ++i) {
-      input.deltas.push_back(
-          {sealed_[i], sealed_[i]->num_docs(), sealed_tombs_[i]});
-    }
+    input.deltas.assign(deltas_.begin(), deltas_.end() - 1);
     input.seg_id = next_seg_id_++;
-    merge_cutoff_ = next_docid_;
-    merge_deletes_.clear();
+    input.cutoff = next_docid_;
     merge_running_ = true;
     merge_status_ = OkStatus();
     ++epoch_;
@@ -697,30 +669,14 @@ Status SnapshotManager::Merge() {
 
 Status SnapshotManager::BuildMergedSegment(const MergeInput& input,
                                            std::shared_ptr<Segment>* out) {
-  // Gather every live input document in global docid order: segments come
-  // first (ascending bases, ascending within), then the sealed deltas —
-  // whose bases are by construction above every committed segment's
-  // globals.
+  // Gather every live input document in global docid order. Merged local
+  // docid i is the i-th document of this walk, which the commit replays.
   std::vector<std::vector<DocTerm>> docs;
   std::vector<int32_t> globals;
-  for (const Snapshot::SegmentRead& sr : input.segments) {
-    const uint64_t* bits =
-        sr.tombstones != nullptr ? sr.tombstones->data() : nullptr;
-    for (uint32_t local = 0; local < sr.seg->num_docs(); ++local) {
-      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
-      globals.push_back(sr.seg->GlobalOf(static_cast<int32_t>(local)));
-      docs.push_back(sr.seg->doc(local));
-    }
-  }
-  for (const Snapshot::DeltaRead& dr : input.deltas) {
-    const uint64_t* bits =
-        dr.tombstones != nullptr ? dr.tombstones->data() : nullptr;
-    for (uint32_t local = 0; local < dr.visible; ++local) {
-      if (TombstoneTest(bits, static_cast<int32_t>(local))) continue;
-      globals.push_back(dr.delta->base_docid() + static_cast<int32_t>(local));
-      docs.push_back(dr.delta->doc(local));
-    }
-  }
+  ForEachLiveDoc(input.segments, input.deltas, [&](const LiveDoc& d) {
+    globals.push_back(d.global);
+    docs.push_back(d.doc);
+  });
   if (docs.empty()) {
     // Everything is deleted: the merge commits an empty segment set.
     out->reset();
@@ -776,29 +732,42 @@ Status SnapshotManager::CommitMergeLocked(const MergeInput& input,
                                           bool* committed) {
   *committed = false;
   // Deletes that landed during the merge targeted documents the merge
-  // carried forward — re-apply them as tombstones on the new segment.
-  TombstoneBits merged_tombs;
+  // carried forward; they are derived from the inputs. The merge's inputs
+  // are still segments_ and the sealed prefix of deltas_ (only a commit
+  // replaces segments, and no seal runs while a merge does), and walking
+  // the inputs' StartMerge tombstones replays the build's gather, so
+  // merged local i is the i-th walked doc. Bits are only ever set, so a
+  // walked doc whose structure has its bit set now was deleted since.
+  std::vector<Snapshot::SegmentRead> next;
   if (merged != nullptr) {
-    std::vector<uint64_t> words;
-    for (int32_t g : merge_deletes_) {
-      const int32_t local = merged->LocalOf(g);
-      if (local < 0) return Internal("merge journal names an unmerged doc");
-      // Full-coverage sizing, same invariant as SetBitCow.
-      words.resize(merged->num_docs() / 64 + 1, 0);
-      words[static_cast<uint32_t>(local) / 64] |=
-          1ull << (static_cast<uint32_t>(local) % 64);
+    std::vector<const uint64_t*> now;
+    for (const Snapshot::SegmentRead& sr : segments_) {
+      now.push_back(sr.tombstones != nullptr ? sr.tombstones->data()
+                                             : nullptr);
     }
+    for (size_t i = 0; i < input.deltas.size(); ++i) {
+      now.push_back(deltas_[i].tombstones != nullptr
+                        ? deltas_[i].tombstones->data()
+                        : nullptr);
+    }
+    std::vector<uint64_t> words;
+    uint32_t merged_local = 0;
+    ForEachLiveDoc(input.segments, input.deltas, [&](const LiveDoc& d) {
+      if (TombstoneTest(now[d.part], static_cast<int32_t>(d.local))) {
+        words.resize(CoverageWords(merged->num_docs()), 0);
+        words[merged_local / 64] |= 1ull << (merged_local % 64);
+      }
+      ++merged_local;
+    });
+    TombstoneBits merged_tombs;
     if (!words.empty()) {
       merged_tombs = std::make_shared<std::vector<uint64_t>>(std::move(words));
     }
+    next.push_back({merged, std::move(merged_tombs)});
   }
 
-  std::vector<Snapshot::SegmentRead> old = std::move(segments_);
-  segments_.clear();
-  if (merged != nullptr) segments_.push_back({merged, merged_tombs});
-  sealed_.clear();
-  sealed_tombs_.clear();
   ++epoch_;
+  Status post;
   if (!dir_.empty()) {
     // With a WAL, the manifest's allocator restarts at the merge cutoff —
     // the first docid the merged segments do not hold — so replay
@@ -807,36 +776,25 @@ Status SnapshotManager::CommitMergeLocked(const MergeInput& input,
     // are volatile anyway, and recording next_docid_ keeps their docids
     // from ever being reused.
     bool renamed = false;
-    Status written = WriteManifestLocked(
-        wal_ != nullptr ? merge_cutoff_ : next_docid_, &renamed);
-    if (!written.ok() && !renamed) {
-      // The swap never happened: restore the old segment set so the
-      // in-memory state keeps matching the on-disk manifest. The sealed
-      // delta was already compacted INTO `merged`, which we are dropping —
-      // re-adopt it so no document is lost.
-      segments_ = std::move(old);
-      for (const Snapshot::DeltaRead& dr : input.deltas) {
-        sealed_.push_back(dr.delta);
-        sealed_tombs_.push_back(dr.tombstones);
-      }
-      // Deletes that were journaled for the merged segment are already in
-      // the old structures' tombstones (DeleteDocument sets both), so
-      // nothing to replay.
+    post = WriteManifestLocked(
+        next, wal_ != nullptr ? input.cutoff : next_docid_, &renamed);
+    if (!renamed) {
+      // The swap never happened: memory still matches the on-disk
+      // manifest, and the sealed deltas stay queryable as input to the next
+      // attempt. Publish anyway, so the snapshot carries the bumped epoch.
       PublishLocked();
-      return written;
+      return post;
     }
     // The rename happened: the merge is committed on disk even if the
     // crash simulation fired right after it. Finish the in-memory commit
     // and report the failure without undoing anything.
-    *committed = true;
-    Status post = written;
     if (post.ok() && wal_ != nullptr) {
       // Marker + truncation. The marker is informational (replay skips
       // it); the truncation is what reclaims the pre-rotation files whose
       // every record the manifest now carries. Failures here leave stale
       // files whose replay is idempotent, so the commit stands.
-      const std::vector<uint8_t> payload = storage::Wal::EncodeMergeCommitted(
-          merge_cutoff_, epoch_);
+      const std::vector<uint8_t> payload =
+          storage::Wal::EncodeMergeCommitted(input.cutoff, epoch_);
       uint64_t lsn = 0;
       post = wal_->Append(storage::WalRecordType::kMergeCommitted,
                           payload.data(),
@@ -844,19 +802,17 @@ Status SnapshotManager::CommitMergeLocked(const MergeInput& input,
       if (post.ok()) post = wal_->Sync(lsn);
       if (post.ok()) post = wal_->DropFilesUpTo(input.wal_sealed_seq);
     }
-    if (!post.ok()) {
-      for (const Snapshot::SegmentRead& sr : old) {
-        sr.seg->set_retire_on_release();
-      }
-      PublishLocked();
-      return post;
-    }
   }
-  for (const Snapshot::SegmentRead& sr : old) {
+  *committed = true;
+  for (const Snapshot::SegmentRead& sr : segments_) {
     sr.seg->set_retire_on_release();
   }
+  segments_ = std::move(next);
+  deltas_.erase(deltas_.begin(),
+                deltas_.begin() + static_cast<std::ptrdiff_t>(
+                                      input.deltas.size()));
   PublishLocked();
-  return OkStatus();
+  return post;
 }
 
 }  // namespace x100ir::ir

@@ -1,9 +1,10 @@
 // Snapshot reads and live updates over the segmented index (DESIGN.md §10).
 //
-// The SnapshotManager owns the database's mutable truth: the immutable
-// Segment set, per-segment tombstone bitmaps, the active DeltaSegment write
-// buffer (plus any sealed delta a running merge has adopted), the live
-// CollectionStats, and the docid/segment-id allocators. Every mutation
+// The SnapshotManager owns the database's mutable truth, each fact held
+// once: one list of immutable Segments and one list of DeltaSegments
+// (sealed buffers awaiting a merge, then the active write buffer), each
+// entry paired with its current tombstone bitmap, plus the live
+// CollectionStats and the docid/segment-id allocators. Every mutation
 // (AddDocument, DeleteDocument, merge commit) happens under one commit
 // mutex and ends by publishing a brand-new immutable Snapshot; Acquire
 // hands a query a shared_ptr to the current one. In-flight queries
@@ -12,25 +13,26 @@
 // merge is marked retire-on-release so the last pin's release (not the
 // commit) deletes its files and drops its pages from the shared pool.
 //
-// Tombstones are copy-on-write: DeleteDocument copies the affected
-// bitmap, sets one bit, and publishes the copy; snapshots hold the version
-// they were born with, so a query never sees a delete that committed after
-// it started.
+// Tombstones are copy-on-write: DeleteDocument finds the one structure
+// holding the docid, copies its bitmap, sets one bit, and publishes the
+// copy; snapshots hold the version they were born with, so a query never
+// sees a delete that committed after it started.
 //
 // Merge protocol (one background merge at a time, on a 1-thread pool):
-//   StartMerge  seals the active delta, adopts it + every segment as merge
-//               input, starts a fresh delta at the next docid, and kicks
-//               the background compaction. Queries keep running against
-//               the sealed delta + old segments throughout.
+//   StartMerge  seals a non-empty active delta (opening a fresh one at the
+//               next docid), adopts every segment and sealed delta with
+//               its tombstones as merge input, and kicks the background
+//               compaction. Queries keep running against the inputs.
 //   background  compacts every live input document (global docid order)
 //               into one new compressed Segment under dir/seg_<id>.
-//   commit      re-checks deletes that landed during the merge (the
-//               journal) and turns them into tombstones on the new
-//               segment, writes the manifest tmp+rename (the atomic
-//               switch; meta-written-last discipline), swaps the segment
-//               set, and retires the old segments.
-//   failure     leaves the old state fully live: the sealed delta stays
-//               queryable and becomes input to the next merge attempt.
+//   commit      derives the new segment's tombstones from the inputs: a
+//               compacted doc whose structure's bit is set now was deleted
+//               while the merge ran. Writes the manifest for the new
+//               segment tmp+rename (the atomic switch; meta-written-last
+//               discipline), and only then swaps the segment set, drops
+//               the merged deltas, and retires the old segments.
+//   failure     changes nothing: the sealed deltas stay queryable and
+//               become input to the next merge attempt.
 //
 // Durability (DESIGN.md §13): merges persist through the manifest; the
 // delta tier persists through the write-ahead log (storage/wal.h). Every
@@ -143,48 +145,56 @@ class SnapshotManager {
 
  private:
   struct MergeInput {
+    // The merge's parts with their tombstones as of StartMerge: every
+    // segment, then every sealed delta (fully visible).
     std::vector<Snapshot::SegmentRead> segments;
-    std::vector<Snapshot::DeltaRead> deltas;  // sealed, fully visible
+    std::vector<Snapshot::DeltaRead> deltas;
     uint32_t seg_id = 0;
+    // First docid the merge does not hold (next_docid_ at StartMerge).
+    int32_t cutoff = 0;
     // WAL file sequence sealed by the StartMerge rotation; everything at or
     // below it becomes droppable once this merge's manifest commits.
     uint64_t wal_sealed_seq = 0;
   };
 
-  // One resolved DeleteDocument target: which structure owns the docid and
-  // where, so validation (Find) can precede mutation (Apply).
+  // One resolved DeleteDocument target, so validation (Find) can precede
+  // mutation (Apply): the owning structure's tombstone slot and where the
+  // document sits in it.
   struct DeleteTarget {
-    enum class Kind { kActiveDelta, kSealedDelta, kSegment } kind =
-        Kind::kActiveDelta;
-    size_t index = 0;    // sealed_/segments_ index (unused for active)
-    uint32_t local = 0;  // structure-local docid
+    TombstoneBits* tombstones = nullptr;  // a segments_ or deltas_ slot
+    uint32_t local = 0;                   // structure-local docid
+    uint32_t num_docs = 0;                // structure doc count (coverage)
     const std::vector<DocTerm>* doc = nullptr;
     int32_t len = 0;
   };
 
   StorageBinding BindingFor(uint32_t seg_id) const;
-  // Rebuilds live num_docs/total_len/df from the current segment set and
-  // tombstones (manifest reopen).
+  // Rebuilds live num_docs/total_len/df from the current segments, deltas
+  // and tombstones (Open, before WAL replay).
   void RecountLiveStatsLocked();
   // Freezes the live counters into a CollectionStats (exactly the numbers
   // a fresh monolithic build over the live corpus would compute).
   std::shared_ptr<const CollectionStats> FreezeStatsLocked() const;
   // Publishes a new Snapshot of the current state at epoch_.
   void PublishLocked();
-  // Serializes the committed segment set to MANIFEST via tmp + rename,
-  // recording `next_docid` as the docid allocator's restart point.
-  // *renamed (may be null) reports whether the rename — the commit point —
-  // happened, so a caller can distinguish pre- from post-commit failure.
-  Status WriteManifestLocked(int32_t next_docid, bool* renamed = nullptr);
+  // Seals the active delta and opens a fresh one at next_docid_. An empty
+  // active delta is left as it is. Shared by StartMerge and WAL replay.
+  void SealActiveLocked();
+  // Serializes `segments` to MANIFEST via tmp + rename, recording
+  // `next_docid` as the docid allocator's restart point. *renamed (may be
+  // null) reports whether the rename — the commit point — happened, so a
+  // caller can distinguish pre- from post-commit failure.
+  Status WriteManifestLocked(const std::vector<Snapshot::SegmentRead>& segments,
+                             int32_t next_docid, bool* renamed = nullptr);
   // Applies one normalized document to the active delta (stats + epoch, no
   // WAL, no publish) — the shared tail of AddDocument and WAL replay.
   Status ApplyAddLocked(std::vector<DocTerm> doc, int32_t len, int32_t* docid);
   // Resolves a docid to its owning structure. NotFound for never-allocated
   // or already-deleted docids.
-  Status FindDeleteTargetLocked(int32_t docid, DeleteTarget* target) const;
-  // Tombstones a resolved target (stats + merge journal + epoch, no WAL,
-  // no manifest, no publish).
-  void ApplyDeleteLocked(const DeleteTarget& target, int32_t docid);
+  Status FindDeleteTargetLocked(int32_t docid, DeleteTarget* target);
+  // Tombstones a resolved target (stats + epoch, no WAL, no manifest, no
+  // publish).
+  void ApplyDeleteLocked(const DeleteTarget& target);
   // Replays the opened WAL against the adopted state (Open only).
   Status ReplayWalLocked();
   // Adopts dir_'s manifest: loads the listed segments and tombstones.
@@ -202,7 +212,6 @@ class SnapshotManager {
 
   const Corpus* corpus_ = nullptr;
   std::string dir_;
-  storage::StorageOptions storage_opts_;
   // Declaration order is destruction order in reverse: merge_pool_ (last)
   // joins the background merge first, then snapshots/segments release and
   // detach from pool_, then pool_/disk_ die.
@@ -216,11 +225,12 @@ class SnapshotManager {
   uint64_t epoch_ = 0;
   uint32_t next_seg_id_ = 1;
   int32_t next_docid_ = 0;
+  // The writer state: every structure and its current tombstones, each
+  // held once. Segments ascend by global docid; deltas ascend by base,
+  // all sealed but back(), the active write buffer, whose `visible`
+  // tracks its doc count. Never empty after Open.
   std::vector<Snapshot::SegmentRead> segments_;
-  std::vector<std::shared_ptr<DeltaSegment>> sealed_;
-  std::vector<TombstoneBits> sealed_tombs_;
-  std::shared_ptr<DeltaSegment> delta_;
-  TombstoneBits delta_tombs_;
+  std::vector<Snapshot::DeltaRead> deltas_;
   uint32_t live_num_docs_ = 0;
   uint64_t live_total_len_ = 0;
   std::vector<uint32_t> live_df_;
@@ -229,11 +239,6 @@ class SnapshotManager {
   bool merge_running_ = false;
   Status merge_status_;
   std::condition_variable merge_cv_;
-  // Global docids deleted while a merge runs that fall below the merge
-  // cutoff (== are part of the merge's input): re-applied as tombstones on
-  // the merged segment at commit.
-  std::vector<int32_t> merge_deletes_;
-  int32_t merge_cutoff_ = 0;
 
   ThreadPool merge_pool_{1};
 };

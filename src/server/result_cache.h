@@ -1,8 +1,10 @@
 // Bounded LRU cache of full query responses, keyed on the complete result
 // surface of a request: run type, normalized term set, k, and every
-// SearchOptions knob that can change what Search returns (BM25 parameters,
-// path selection). Vector size and rng seed are *not* in
-// the key — results are bit-identical across them by the engine's
+// SearchOptions knob that can change the docids, scores, num_matches or
+// ExecStats Search returns (BM25 parameters, vector size, path selection).
+// Vector size is in the key because MaxScore prunes at vector-batch
+// boundaries, so num_matches and the counters move with it. The rng seed
+// is *not* — results are bit-identical across seeds by the engine's
 // determinism contract, which is exactly what makes caching sound.
 //
 // Epoch discipline (DESIGN.md §10): every entry is tagged with the snapshot
@@ -47,17 +49,19 @@ inline std::string ResultCacheKey(const ir::Query& query, ir::RunType run,
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
   std::string key;
-  key.reserve(20 + terms.size() * sizeof(uint32_t));
+  key.reserve(24 + terms.size() * sizeof(uint32_t));
   auto append = [&key](const void* p, size_t n) {
     key.append(static_cast<const char*>(p), n);
   };
   const uint8_t run_byte = static_cast<uint8_t>(run);
   append(&run_byte, 1);
   append(&opts.k, sizeof(opts.k));
+  append(&opts.vector_size, sizeof(opts.vector_size));
   append(&opts.bm25.k1, sizeof(opts.bm25.k1));
   append(&opts.bm25.b, sizeof(opts.bm25.b));
   const uint8_t flags = (opts.streaming_and ? 1 : 0) |
-                        (opts.maxscore_bm25 ? 2 : 0);
+                        (opts.maxscore_bm25 ? 2 : 0) |
+                        (opts.blockmax ? 4 : 0) | (opts.fused_score ? 8 : 0);
   append(&flags, 1);
   append(terms.data(), terms.size() * sizeof(uint32_t));
   return key;

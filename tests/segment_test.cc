@@ -305,7 +305,9 @@ TEST(SegmentTest, DeleteHidesDocsAndClassifiesErrors) {
 
 TEST(SegmentTest, SearchDuringMergeIsBitIdenticalToOracle) {
   core::DatabaseOptions dopts;
-  dopts.corpus = TinyGenerated();
+  // Big enough that the merge is still running at the second StartMerge
+  // below; a 400-doc merge can commit first when the host is loaded.
+  dopts.corpus = TinyGenerated(8000);
   dopts.dir = FreshDir("db");
   dopts.storage.page_bytes = 4096;
   core::Database db;
@@ -396,7 +398,9 @@ TEST(SegmentTest, SearchDuringMergeIsBitIdenticalToOracle) {
 
 TEST(SegmentTest, DeletesDuringMergeLandOnTheMergedSegment) {
   core::DatabaseOptions dopts;
-  dopts.corpus = TinyGenerated();
+  // Big enough that the merge outlasts the deletes below; a 400-doc merge
+  // usually commits before this thread is scheduled again.
+  dopts.corpus = TinyGenerated(8000);
   core::Database db;
   ASSERT_TRUE(db.Open(dopts).ok());
 
@@ -409,15 +413,27 @@ TEST(SegmentTest, DeletesDuringMergeLandOnTheMergedSegment) {
     model.Add(terms);
   }
 
-  // Delete below the merge cutoff while the merge runs: the journal must
-  // re-apply these as tombstones on the merged segment at commit. Whether
-  // a given delete lands before or after the commit race-wise, the final
-  // logical state is the same — which is exactly what the oracle checks.
+  // Delete below the merge cutoff while the merge runs — base-segment docs
+  // and one doc of the sealed delta: the commit must carry these as
+  // tombstones on the merged segment. Whether a given delete lands before
+  // or after the commit race-wise, the final logical state is the same —
+  // which is exactly what the oracle checks.
   ASSERT_TRUE(db.StartMerge().ok());
   for (int32_t d = 3; d < 120; d += 17) {
     ASSERT_TRUE(db.DeleteDocument(d).ok()) << d;
     model.Delete(d);
   }
+  const int32_t sealed_doc = static_cast<int32_t>(db.corpus().num_docs()) + 20;
+  ASSERT_TRUE(db.DeleteDocument(sealed_doc).ok());
+  model.Delete(sealed_doc);
+  // And above the cutoff: a doc of the delta StartMerge opened, which the
+  // merge does not hold and which stays a delta tombstone.
+  const std::vector<uint32_t> late = RandomDoc(&rng, model.vocab);
+  int32_t late_id = -1;
+  ASSERT_TRUE(db.AddDocument(late, &late_id).ok());
+  model.Add(late);
+  ASSERT_TRUE(db.DeleteDocument(late_id).ok());
+  model.Delete(late_id);
   ASSERT_TRUE(db.WaitMerge().ok());
 
   Oracle oracle;
@@ -426,6 +442,8 @@ TEST(SegmentTest, DeletesDuringMergeLandOnTheMergedSegment) {
 
   // And they really are deletes, not ghosts: a re-delete is NotFound.
   EXPECT_EQ(db.DeleteDocument(3).code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.DeleteDocument(sealed_doc).code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.DeleteDocument(late_id).code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------

@@ -807,6 +807,45 @@ TEST(ResultCache, HitServesIdenticalResultWithoutAdmission) {
   service.Stop();
 }
 
+TEST(ResultCache, KeyCoversEveryResultChangingOption) {
+  core::DatabaseOptions dopts;
+  dopts.corpus = SmallCorpus();
+  core::Database db;
+  ASSERT_TRUE(db.Open(dopts).ok());
+
+  QueryServiceOptions sopts;
+  sopts.num_threads = 1;
+  sopts.result_cache_entries = 8;
+  QueryService service;
+  ASSERT_TRUE(service.Start(&db, sopts).ok());
+
+  // Vector size, Block-Max and the fused kernel change num_matches or the
+  // counters under MaxScore, so each variant must miss and then serve
+  // exactly what a direct search with its own options returns.
+  QueryRequest base;
+  base.query = MixedRequests(db, 1, false)[0].query;
+  base.run = ir::RunType::kBm25;
+  std::vector<QueryRequest> variants(4, base);
+  variants[1].opts.vector_size = 64;
+  variants[2].opts.blockmax = false;
+  variants[3].opts.fused_score = false;
+  for (const QueryRequest& r : variants) {
+    const QueryResponse got = service.Execute(r);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ir::SearchResult want;
+    ASSERT_TRUE(db.Search(r.query, r.run, r.opts, &want).ok());
+    EXPECT_EQ(got.result.docids, want.docids);
+    EXPECT_EQ(got.result.scores, want.scores);
+    EXPECT_EQ(got.result.num_matches, want.num_matches);
+    EXPECT_EQ(got.result.stats.windows_decoded, want.stats.windows_decoded);
+    EXPECT_EQ(got.result.stats.fused_windows, want.stats.fused_windows);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 4u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  service.Stop();
+}
+
 TEST(ResultCache, LruEvictsAtCapacity) {
   core::DatabaseOptions dopts;
   dopts.corpus = SmallCorpus();
